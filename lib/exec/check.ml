@@ -121,17 +121,116 @@ let h_model = Obs.Histogram.make "check.model_us"
 let c_batch_flushes = Obs.Counter.make "check.batch.flushes"
 let h_occupancy = Obs.Histogram.make "check.batch.occupancy"
 
-let run_exn ?budget ?(prefilter = true) ?delta ?batch ?explainer
-    (module M : MODEL) (test : Litmus.Ast.t) =
+(* The one candidate loop behind {!run} and {!allowed_outcomes}: streams
+   the candidates of [test], counting and budget-ticking each as it is
+   consumed, and hands each to exactly one of [prefiltered] (rejected by
+   the sc-per-location prefilter) or [decided] (with the model's
+   verdict), in enumeration order.  Returns the number consumed.
+
+   Without [batch], each candidate is decided on its own: the prefilter
+   test and the model run are each timed per candidate when tracing
+   (two clock reads each), with the short-circuit that skips [coherent]
+   entirely when the prefilter is off.
+
+   With [batch], up to 63 pairwise static-compatible candidates are
+   buffered — within one event structure they share the events array
+   physically, and across enumeration-adjacent structures of the same
+   test the statics usually coincide (the structures branch only on
+   read values) — then the prefilter and the model are decided for the
+   whole buffer in word-parallel passes over candidate-major bit planes
+   and the buffer is handed on in enumeration order, so every observable
+   matches the scalar loop's.  Compatibility is checked against the
+   newest buffered candidate (transitivity covers the rest), memoised
+   per event-array pair so each structure boundary costs one deep
+   comparison. *)
+let iter_candidates ?budget ~prefilter ?batch (module M : MODEL) test
+    ~prefiltered ~decided =
+  let n = ref 0 in
+  let stream = Execution.of_test_seq ?budget test in
+  let consume () =
+    (* counted as consumed, so the tally is correct however the stream
+       ends (completion, budget trip, model failure) *)
+    incr n;
+    Obs.Counter.incr c_candidates;
+    Option.iter Budget.tick budget
+  in
+  (match batch with
+  | None ->
+      let tracing = Obs.enabled () in
+      Seq.iter
+        (fun x ->
+          consume ();
+          let t0 = if tracing then Obs.now_us () else 0. in
+          let keep = (not prefilter) || Execution.coherent x in
+          if tracing && prefilter then
+            Obs.Histogram.observe h_prefilter (Obs.now_us () -. t0);
+          if not keep then prefiltered x
+          else begin
+            let t1 = if tracing then Obs.now_us () else 0. in
+            let ok = M.consistent x in
+            if tracing then Obs.Histogram.observe h_model (Obs.now_us () -. t1);
+            decided x ok
+          end)
+        stream
+  | Some batch_fn ->
+      let memo = ref None in
+      let compatible (y : Execution.t) (x : Execution.t) =
+        y.Execution.events == x.Execution.events
+        ||
+        match !memo with
+        | Some (ea, eb, r)
+          when ea == y.Execution.events && eb == x.Execution.events ->
+            r
+        | _ ->
+            let r = Execution.static_compatible y x in
+            memo := Some (y.Execution.events, x.Execution.events, r);
+            r
+      in
+      let buf = ref [] and len = ref 0 in
+      let flush () =
+        if !len > 0 then begin
+          let xs = Array.of_list (List.rev !buf) in
+          buf := [];
+          len := 0;
+          let k = Array.length xs in
+          let full = Rel.Batch.full_mask k in
+          Obs.Counter.incr c_batch_flushes;
+          Obs.Histogram.observe h_occupancy (float_of_int k);
+          let live =
+            if prefilter then Execution.coherent_mask ~mask:full xs else full
+          in
+          let consistent =
+            if live = 0 then 0 else batch_fn ~coherent:prefilter ~mask:live xs
+          in
+          Array.iteri
+            (fun c x ->
+              let bit = 1 lsl c in
+              if live land bit = 0 then prefiltered x
+              else decided x (consistent land bit <> 0))
+            xs
+        end
+      in
+      Seq.iter
+        (fun x ->
+          consume ();
+          (match !buf with
+          | y :: _ when not (compatible y x) -> flush ()
+          | _ -> ());
+          buf := x :: !buf;
+          incr len;
+          if !len = Rel.Batch.width then flush ())
+        stream;
+      flush ());
+  !n
+
+let run_exn ?budget ?(prefilter = true) ?batch ?explainer (module M : MODEL)
+    (test : Litmus.Ast.t) =
   let satisfies x =
     match test.quant with
     | Litmus.Ast.Q_exists | Litmus.Ast.Q_not_exists -> Execution.satisfies_cond x
     | Litmus.Ast.Q_forall -> not (Execution.satisfies_cond x)
   in
-  let n_candidates = ref 0
-  and n_prefiltered = ref 0
-  and n_consistent = ref 0
-  and n_matching = ref 0 in
+  let n_prefiltered = ref 0 and n_consistent = ref 0 and n_matching = ref 0 in
   let witness = ref None and outcomes = ref [] in
   (* Counterexample retention for forensics, only with an explainer (one
      option test per rejected candidate otherwise — the explanation-off
@@ -142,17 +241,6 @@ let run_exn ?budget ?(prefilter = true) ?delta ?batch ?explainer
      sc-per-location, and the model's coherence check explains it). *)
   let track_cex = explainer <> None in
   let cex = ref None and cex_prefiltered = ref None in
-  (* When tracing, the prefilter test and the model run are each timed
-     per candidate (two clock reads each); the branch structure below is
-     semantically identical to the untraced
-       if prefilter && not coherent then ... else if consistent then ...
-     including the short-circuit that skips [coherent] entirely when the
-     prefilter is off. *)
-  let tracing = Obs.enabled () in
-  (* Per-candidate tallies, shared verbatim between the scalar loop and
-     the batched flush: the flush walks its buffer in enumeration order
-     calling exactly these, so counters, outcome order, witness and
-     counterexample identity cannot diverge between the two paths. *)
   let prefiltered x =
     incr n_prefiltered;
     Obs.Counter.incr c_prefiltered;
@@ -173,97 +261,12 @@ let run_exn ?budget ?(prefilter = true) ?delta ?batch ?explainer
     end
     else if track_cex && !cex = None && satisfies x then cex := Some x
   in
-  Obs.with_span ~item:test.name "check" (fun () ->
-      Obs.with_span ~item:test.name "enumerate" (fun () ->
-          let stream = Execution.of_test_seq ?budget ?delta test in
-          match batch with
-          | None ->
-              Seq.iter
-                (fun x ->
-                  (* counted as consumed, so the tally is correct however
-                     the stream ends (completion, budget trip, model
-                     failure) *)
-                  incr n_candidates;
-                  Obs.Counter.incr c_candidates;
-                  Option.iter Budget.tick budget;
-                  let t0 = if tracing then Obs.now_us () else 0. in
-                  let keep = (not prefilter) || Execution.coherent x in
-                  if tracing && prefilter then
-                    Obs.Histogram.observe h_prefilter (Obs.now_us () -. t0);
-                  if not keep then prefiltered x
-                  else begin
-                    let t1 = if tracing then Obs.now_us () else 0. in
-                    let ok = M.consistent x in
-                    if tracing then
-                      Obs.Histogram.observe h_model (Obs.now_us () -. t1);
-                    decided x ok
-                  end)
-                stream
-          | Some batch_fn ->
-              (* Buffer up to 63 pairwise static-compatible candidates —
-                 within one event structure they share the events array
-                 physically, and across enumeration-adjacent structures
-                 of the same test the statics usually coincide (the
-                 structures branch only on read values) — then decide
-                 the prefilter and the model for the whole buffer in
-                 word-parallel passes over candidate-major bit planes,
-                 and tally in enumeration order.  Compatibility is
-                 checked against the newest buffered candidate
-                 (transitivity covers the rest), memoised per event-
-                 array pair so each structure boundary costs one deep
-                 comparison. *)
-              let memo = ref None in
-              let compatible (y : Execution.t) (x : Execution.t) =
-                y.Execution.events == x.Execution.events
-                ||
-                match !memo with
-                | Some (ea, eb, r)
-                  when ea == y.Execution.events && eb == x.Execution.events ->
-                    r
-                | _ ->
-                    let r = Execution.static_compatible y x in
-                    memo := Some (y.Execution.events, x.Execution.events, r);
-                    r
-              in
-              let buf = ref [] and len = ref 0 in
-              let flush () =
-                if !len > 0 then begin
-                  let xs = Array.of_list (List.rev !buf) in
-                  buf := [];
-                  len := 0;
-                  let k = Array.length xs in
-                  let full = Rel.Batch.full_mask k in
-                  Obs.Counter.incr c_batch_flushes;
-                  Obs.Histogram.observe h_occupancy (float_of_int k);
-                  let live =
-                    if prefilter then Execution.coherent_mask ~mask:full xs
-                    else full
-                  in
-                  let consistent =
-                    if live = 0 then 0
-                    else batch_fn ~coherent:prefilter ~mask:live xs
-                  in
-                  Array.iteri
-                    (fun c x ->
-                      let bit = 1 lsl c in
-                      if live land bit = 0 then prefiltered x
-                      else decided x (consistent land bit <> 0))
-                    xs
-                end
-              in
-              Seq.iter
-                (fun x ->
-                  incr n_candidates;
-                  Obs.Counter.incr c_candidates;
-                  Option.iter Budget.tick budget;
-                  (match !buf with
-                  | y :: _ when not (compatible y x) -> flush ()
-                  | _ -> ());
-                  buf := x :: !buf;
-                  incr len;
-                  if !len = Rel.Batch.width then flush ())
-                stream;
-              flush ()));
+  let n_candidates =
+    Obs.with_span ~item:test.name "check" (fun () ->
+        Obs.with_span ~item:test.name "enumerate" (fun () ->
+            iter_candidates ?budget ~prefilter ?batch
+              (module M) test ~prefiltered ~decided))
+  in
   (* Forensics run after enumeration, on the retained counterexample
      only.  The explainer re-derives the model's checks on it; any
      [Explain.Invalid] it raises (an explanation that fails its own
@@ -287,7 +290,7 @@ let run_exn ?budget ?(prefilter = true) ?delta ?batch ?explainer
   in
   {
     verdict = (if !n_matching > 0 then Allow else Forbid);
-    n_candidates = !n_candidates;
+    n_candidates;
     n_prefiltered = !n_prefiltered;
     n_consistent = !n_consistent;
     n_matching = !n_matching;
@@ -319,13 +322,13 @@ let unknown ?budget ?(backend = Enum) ?sat reason =
    [Unknown] results carrying the partial candidate count — a check under
    a budget never raises.  Without a budget, behaviour (and exceptions)
    are exactly the pre-budget ones. *)
-let run ?budget ?prefilter ?delta ?batch ?explainer (module M : MODEL)
+let run ?budget ?prefilter ?batch ?explainer (module M : MODEL)
     (test : Litmus.Ast.t) =
   let backend = match batch with None -> Enum | Some _ -> Batch in
   match budget with
-  | None -> run_exn ?prefilter ?delta ?batch ?explainer (module M) test
+  | None -> run_exn ?prefilter ?batch ?explainer (module M) test
   | Some b -> (
-      try run_exn ~budget:b ?prefilter ?delta ?batch ?explainer (module M) test
+      try run_exn ~budget:b ?prefilter ?batch ?explainer (module M) test
       with
       | Budget.Exceeded r -> unknown ~budget:b ~backend (Budget_exceeded r)
       | Stack_overflow ->
@@ -334,65 +337,13 @@ let run ?budget ?prefilter ?delta ?batch ?explainer (module M : MODEL)
 
 (* The set of observable outcomes under the model, ignoring the condition:
    used to compare models with operational simulators.  May raise
-   {!Budget.Exceeded} when budgeted.  [?batch] routes the consistency
-   decisions through the same bit-plane buffering as {!run}. *)
-let allowed_outcomes ?budget ?(prefilter = true) ?delta ?batch
-    (module M : MODEL) (test : Litmus.Ast.t) =
+   {!Budget.Exceeded} when budgeted.  Same candidate loop as {!run}. *)
+let allowed_outcomes ?budget ?(prefilter = true) ?batch (module M : MODEL)
+    (test : Litmus.Ast.t) =
   let acc = ref [] in
-  let stream = Execution.of_test_seq ?budget ?delta test in
-  (match batch with
-  | None ->
-      Seq.iter
-        (fun x ->
-          Option.iter Budget.tick budget;
-          if prefilter && not (Execution.coherent x) then ()
-          else if M.consistent x then acc := Execution.outcome x :: !acc)
-        stream
-  | Some batch_fn ->
-      let memo = ref None in
-      let compatible (y : Execution.t) (x : Execution.t) =
-        y.Execution.events == x.Execution.events
-        ||
-        match !memo with
-        | Some (ea, eb, r)
-          when ea == y.Execution.events && eb == x.Execution.events ->
-            r
-        | _ ->
-            let r = Execution.static_compatible y x in
-            memo := Some (y.Execution.events, x.Execution.events, r);
-            r
-      in
-      let buf = ref [] and len = ref 0 in
-      let flush () =
-        if !len > 0 then begin
-          let xs = Array.of_list (List.rev !buf) in
-          buf := [];
-          len := 0;
-          let full = Rel.Batch.full_mask (Array.length xs) in
-          let live =
-            if prefilter then Execution.coherent_mask ~mask:full xs else full
-          in
-          let consistent =
-            if live = 0 then 0
-            else batch_fn ~coherent:prefilter ~mask:live xs
-          in
-          Array.iteri
-            (fun c x ->
-              let bit = 1 lsl c in
-              if live land bit <> 0 && consistent land bit <> 0 then
-                acc := Execution.outcome x :: !acc)
-            xs
-        end
-      in
-      Seq.iter
-        (fun x ->
-          Option.iter Budget.tick budget;
-          (match !buf with
-          | y :: _ when not (compatible y x) -> flush ()
-          | _ -> ());
-          buf := x :: !buf;
-          incr len;
-          if !len = Rel.Batch.width then flush ())
-        stream;
-      flush ());
+  ignore
+    (iter_candidates ?budget ~prefilter ?batch
+       (module M) test
+       ~prefiltered:(fun _ -> ())
+       ~decided:(fun x ok -> if ok then acc := Execution.outcome x :: !acc));
   List.sort_uniq compare !acc

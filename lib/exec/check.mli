@@ -127,20 +127,19 @@ val unknown :
     {!Execution.coherent_mask} and the model through the given
     {!batch_fn}; the buffer is then tallied in enumeration order, so
     every observable of the result (counters, outcomes, witness and
-    counterexample identity) matches the scalar path's.  [?delta]
-    (default on) is forwarded to {!Execution.of_test_seq}'s incremental
-    re-evaluation; both default paths are toggled off together by the
-    CLIs' [--no-batch]. *)
+    counterexample identity) matches the scalar path's.  {!Oracle.run}
+    passes [?batch] for a [Batch] request to an oracle that ships a
+    batch engine. *)
 val run :
-  ?budget:Budget.t -> ?prefilter:bool -> ?delta:bool -> ?batch:batch_fn ->
+  ?budget:Budget.t -> ?prefilter:bool -> ?batch:batch_fn ->
   ?explainer:(Execution.t -> Explain.t list) -> (module MODEL) ->
   Litmus.Ast.t -> result
 
 (** The observable outcomes allowed by the model, ignoring the condition;
-    used to compare models with the operational simulators.  Streams and
-    prefilters like {!run}.  Raises {!Budget.Exceeded} when a budget is
+    used to compare models with the operational simulators.  Streams,
+    prefilters and batches through the same candidate loop as {!run}.  Raises {!Budget.Exceeded} when a budget is
     given and trips (callers decide how to report partial soundness
     information). *)
 val allowed_outcomes :
-  ?budget:Budget.t -> ?prefilter:bool -> ?delta:bool -> ?batch:batch_fn ->
+  ?budget:Budget.t -> ?prefilter:bool -> ?batch:batch_fn ->
   (module MODEL) -> Litmus.Ast.t -> Execution.outcome list

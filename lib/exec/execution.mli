@@ -111,19 +111,11 @@ val co_of_orders : skeleton -> (string * int list) list -> Rel.t
     budget, forcing the sequence raises {!Budget.Exceeded} as soon as
     the event, candidate, or wall-clock limit trips (an arithmetic
     pre-check on the rf/co product size fails explosions before anything
-    is materialised).
-
-    Within one coherence choice, enumeration-adjacent candidates differ
-    only in the writers of a suffix of the reads; with [?delta] (default
-    [true]) the enumerator patches rf and the affected from-reads rows
-    between adjacent candidates instead of recomputing them (rf being
-    functional per read, a read's fr row is exactly its writer's co
-    row).  [~delta:false] recovers the from-scratch construction; the
-    candidates produced, and their order, are identical either way. *)
-val of_test_seq : ?budget:Budget.t -> ?delta:bool -> Litmus.Ast.t -> t Seq.t
+    is materialised). *)
+val of_test_seq : ?budget:Budget.t -> Litmus.Ast.t -> t Seq.t
 
 (** [of_test ?budget test] is [of_test_seq], fully materialised. *)
-val of_test : ?budget:Budget.t -> ?delta:bool -> Litmus.Ast.t -> t list
+val of_test : ?budget:Budget.t -> Litmus.Ast.t -> t list
 
 (** [coherent t] holds iff [po-loc ∪ rf ∪ co ∪ fr] is acyclic —
     sc-per-location.  Every shipped model constrains a superset of this

@@ -20,74 +20,46 @@ type t = {
 
 let c_fallback = Obs.Counter.make "sat.fallback"
 
-let scalar name model = { name; model; batch = None; solve = None }
+let make ~name ~model ?batch ?solve () = { name; model; batch; solve }
 
 (* Most scalar models are budget-oblivious modules; wrap them without
    ceremony, taking the oracle's name from the model's own. *)
 let of_model (module M : Check.MODEL) =
-  scalar M.name (fun _ -> (module M : Check.MODEL))
+  make ~name:M.name ~model:(fun _ -> (module M : Check.MODEL)) ()
 
-let make ~name ~model ?batch ?solve () = { name; model; batch; solve }
-
-let name t = t.name
-let model t ?budget () = t.model budget
-let has_batch t = Option.is_some t.batch
-let has_solve t = Option.is_some t.solve
-
-(* The engine actually selected for a request: the oracle's best match
-   for the requested backend.  [Sat] falls back (counted) when no
-   solver is shipped; [Batch] silently degrades to the scalar engine —
-   batched evaluation is an optimisation of the same enumeration, not
-   a different engine family, and scalar-only models are common. *)
-let resolve t (req : backend_request) : Check.backend =
+(* The batch engine an enumerative request runs on: the oracle's, for
+   [Batch] requests only — [Enum] is the scalar loop, and a [Sat]
+   request that fell back stays scalar too. *)
+let batch_for t budget (req : backend_request) =
   match req with
-  | Check.Sat -> if has_solve t then Check.Sat else Check.Enum
-  | Check.Batch -> if has_batch t then Check.Batch else Check.Enum
-  | Check.Enum -> Check.Enum
+  | Check.Batch -> Option.map (fun mk -> mk budget) t.batch
+  | Check.Enum | Check.Sat -> None
 
-let run ?budget ?prefilter ?delta ?explainer ?(backend = Check.Batch) t test =
-  match backend with
-  | Check.Sat -> (
-      match t.solve with
-      | Some solve -> solve ?budget ?explainer test
-      | None ->
-          (* requested symbolically, shipped enumeratively: fall back,
-             loudly enough for reports to show it *)
-          Obs.Counter.incr c_fallback;
-          let r =
-            Check.run ?budget ?prefilter ?delta ?explainer (t.model budget)
-              test
-          in
-          {
-            r with
-            Check.sat =
-              Some { Check.conflicts = 0; decisions = 0; fallback = true };
-          })
-  | Check.Batch -> (
-      match t.batch with
-      | Some mk ->
-          Check.run ?budget ?prefilter ?delta ~batch:(mk budget) ?explainer
-            (t.model budget) test
-      | None ->
-          Check.run ?budget ?prefilter ?delta ?explainer (t.model budget) test)
-  | Check.Enum ->
-      Check.run ?budget ?prefilter ~delta:false ?explainer (t.model budget)
-        test
+let run ?budget ?prefilter ?explainer ?(backend = Check.Batch) t test =
+  match (backend, t.solve) with
+  | Check.Sat, Some solve -> solve ?budget ?explainer test
+  | _ ->
+      let r =
+        Check.run ?budget ?prefilter ?batch:(batch_for t budget backend)
+          ?explainer (t.model budget) test
+      in
+      if backend <> Check.Sat then r
+      else begin
+        (* requested symbolically, shipped enumeratively: fall back,
+           loudly enough for reports to show it *)
+        Obs.Counter.incr c_fallback;
+        {
+          r with
+          Check.sat =
+            Some { Check.conflicts = 0; decisions = 0; fallback = true };
+        }
+      end
 
 (* Model-allowed outcomes, through the oracle's enumerative engines
    (the symbolic engine answers the per-test existential question, not
    the all-outcomes one; [Sat] requests degrade to the batched path). *)
-let allowed_outcomes ?budget ?prefilter ?delta ?(backend = Check.Batch) t test
-    =
-  match backend with
-  | Check.Enum ->
-      Check.allowed_outcomes ?budget ?prefilter ~delta:false (t.model budget)
-        test
-  | Check.Batch | Check.Sat -> (
-      match t.batch with
-      | Some mk ->
-          Check.allowed_outcomes ?budget ?prefilter ?delta ~batch:(mk budget)
-            (t.model budget) test
-      | None ->
-          Check.allowed_outcomes ?budget ?prefilter ?delta (t.model budget)
-            test)
+let allowed_outcomes ?budget ?prefilter ?(backend = Check.Batch) t test =
+  let backend = if backend = Check.Sat then Check.Batch else backend in
+  Check.allowed_outcomes ?budget ?prefilter
+    ?batch:(batch_for t budget backend)
+    (t.model budget) test

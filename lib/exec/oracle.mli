@@ -24,9 +24,6 @@ type t = {
   solve : Solve.solve_fn option;  (** the symbolic engine *)
 }
 
-(** [scalar name model] — an oracle with only the scalar engine. *)
-val scalar : string -> (Budget.t option -> (module Check.MODEL)) -> t
-
 (** [of_model (module M)] — a scalar-only oracle around a
     budget-oblivious model, named after it. *)
 val of_model : (module Check.MODEL) -> t
@@ -39,17 +36,6 @@ val make :
   unit ->
   t
 
-val name : t -> string
-val model : t -> ?budget:Budget.t -> unit -> (module Check.MODEL)
-val has_batch : t -> bool
-val has_solve : t -> bool
-
-(** The engine a request would actually run: [Sat] degrades to [Enum]
-    when no solver is shipped (the counted fallback), [Batch] to [Enum]
-    when no batch engine is shipped (a plain optimisation miss — not
-    counted). *)
-val resolve : t -> backend_request -> Check.backend
-
 (** [run t test] checks [test] through the requested backend (default
     [Batch], matching the CLIs' default engine):
     - [Sat]: the symbolic engine if present; otherwise the enumerative
@@ -57,15 +43,13 @@ val resolve : t -> backend_request -> Check.backend
       carries [sat = Some {fallback = true; _}];
     - [Batch]: the batched enumerative path if present, scalar
       otherwise;
-    - [Enum]: the scalar path with delta re-evaluation off — the
-      reference engine.
+    - [Enum]: the scalar path — the reference engine.
 
-    [?prefilter]/[?delta]/[?explainer] forward to {!Check.run} on the
+    [?prefilter]/[?explainer] forward to {!Check.run} on the
     enumerative paths; the symbolic engine takes [?explainer] only. *)
 val run :
   ?budget:Budget.t ->
   ?prefilter:bool ->
-  ?delta:bool ->
   ?explainer:(Execution.t -> Explain.t list) ->
   ?backend:backend_request ->
   t ->
@@ -79,7 +63,6 @@ val run :
 val allowed_outcomes :
   ?budget:Budget.t ->
   ?prefilter:bool ->
-  ?delta:bool ->
   ?backend:backend_request ->
   t ->
   Litmus.Ast.t ->

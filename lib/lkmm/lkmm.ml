@@ -17,12 +17,6 @@ module Symbolic = Symbolic
 let name = Model.name
 let consistent = Model.consistent
 
-(** [consistent_mask] is the model's batched consistency oracle — up to
-    63 static-compatible witnesses decided per word-parallel pass
-    (see {!Relations.consistent_mask}); plug it into
-    [Exec.Check.run ~batch]. *)
-let consistent_mask : Exec.Check.batch_fn = Relations.consistent_mask
-
 (** The symbolic engine: the candidate space as CNF under
     {!Symbolic.axioms}, decided by [lib/sat]'s CDCL core, witnesses
     re-validated through the scalar {!Model}. *)
@@ -30,22 +24,19 @@ let solve : Exec.Solve.solve_fn =
   Exec.Solve.make ~axioms:Symbolic.axioms (module Model)
 
 (** The LK model as a checking oracle: all three engines (scalar,
-    bit-plane batched, symbolic), selected per request by
-    {!Exec.Oracle.run}. *)
+    bit-plane batched — up to 63 static-compatible witnesses decided
+    per word-parallel pass, see {!Relations.consistent_mask} — and
+    symbolic), selected per request by {!Exec.Oracle.run}. *)
 let oracle : Exec.Oracle.t =
   Exec.Oracle.make ~name:Model.name
     ~model:(fun _ -> (module Model : Exec.Check.MODEL))
-    ~batch:(fun _ -> consistent_mask)
+    ~batch:(fun _ -> Relations.consistent_mask)
     ~solve ()
 
-(** [check ?budget test] runs a litmus test against the LK model; with a
-    budget the result may be [Unknown] instead of raising/hanging.
-    Candidates are evaluated batched ([?batched], default [true]: the
-    bit-plane path, observationally identical to the scalar one). *)
-let check ?budget ?(batched = true) test =
-  if batched then
-    Exec.Check.run ?budget ~batch:consistent_mask (module Model) test
-  else Exec.Check.run ?budget ~delta:false (module Model) test
+(** [check ?budget test] runs a litmus test against the LK model on its
+    batched engine; with a budget the result may be [Unknown] instead of
+    raising/hanging. *)
+let check ?budget test = Exec.Oracle.run ?budget oracle test
 
 (** [verdict ?budget test] is the LK verdict for [test]. *)
 let verdict ?budget test = (check ?budget test).Exec.Check.verdict

@@ -96,15 +96,6 @@ let add x y t =
     t
   end
 
-let remove x y t =
-  if not (mem x y t) then t
-  else begin
-    let bits = Array.copy t.bits in
-    let i = (x * t.w) + (y / bpw) in
-    bits.(i) <- bits.(i) land lnot (1 lsl (y mod bpw));
-    { t with bits }
-  end
-
 let of_list ps =
   let c =
     List.fold_left
@@ -245,18 +236,6 @@ let rec seqs = function
   | [] -> invalid_arg "Rel.seqs: empty list"
   | [ t ] -> t
   | t :: ts -> seq t (seqs ts)
-
-(* [set_row_from ~src j i t]: [t] with the successor row of [i] replaced
-   wholesale by row [j] of [src] — the delta-patch primitive: when a
-   read's writer changes from [w] to [w'], its from-reads row becomes
-   exactly the coherence row of [w']. *)
-let set_row_from ~src j i t =
-  check_ids i j;
-  let c = max (max src.n t.n) (max i j + 1) in
-  let src = grow c src and t = grow c t in
-  let bits = Array.copy t.bits in
-  Array.blit src.bits (j * src.w) bits (i * t.w) t.w;
-  { t with bits }
 
 let id_of_set s = Iset.fold (fun x acc -> add x x acc) s empty
 let id_of_list xs = List.fold_left (fun acc x -> add x x acc) empty xs

@@ -34,9 +34,6 @@ val mem : int -> int -> t -> bool
 
 val add : int -> int -> t -> t
 
-(** [remove x y t] is [t] without the edge [(x, y)]. *)
-val remove : int -> int -> t -> t
-
 val singleton : int -> int -> t
 val of_list : (int * int) list -> t
 
@@ -77,13 +74,6 @@ val seq : t -> t -> t
 (** [seqs [t1; ...; tn]] is [t1 ; ... ; tn].  Raises [Invalid_argument] on
     the empty list. *)
 val seqs : t list -> t
-
-(** [set_row_from ~src j i t] is [t] with the successor row of [i]
-    replaced wholesale by row [j] of [src] — the delta-patch primitive
-    of the incremental enumerator: when a read's writer changes from
-    [w] to [w'], its from-reads row becomes exactly the coherence row
-    of [w']. *)
-val set_row_from : src:t -> int -> int -> t -> t
 
 (** [id_of_set s] is the identity relation restricted to [s] — the cat
     bracket [[S]].  [seq [S] r] keeps edges of [r] whose source is in [S]. *)

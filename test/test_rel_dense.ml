@@ -9,9 +9,11 @@
    The candidate-major bit-plane kernel ({!Rel.Batch}) gets the same
    treatment: every batched operator and decision mask against a scalar
    loop over the planes, randomized over universe size, plane count and
-   mask — plus corpus-wide agreement of {!Exec.Check.run} results with
-   batching on/off × prefilter on/off, for the native LKMM and the cat
-   interpreter (witness identity included, not just verdicts).
+   mask — plus corpus-wide agreement of {!Exec.Oracle.run} results and
+   allowed outcomes between the Enum and Batch engines × prefilter
+   on/off, for the native LKMM and the cat interpreter (witness identity
+   included, not just verdicts), and a contract that the layer counters
+   the benchmark reads keep moving.
 
    Trial tally: the operator suite alone draws 2 relations per trial ×
    4000 trials, the closure/sort/cycle suites another 2000 + 2000 +
@@ -251,27 +253,35 @@ let sample_tests stride =
 let result_key (r : Exec.Check.result) =
   (r.verdict, r.n_candidates, r.n_consistent, r.n_matching, r.outcomes)
 
-(* The prefilter and both caches must be invisible in the results (only
-   n_prefiltered differs by construction, so compare everything else). *)
+let cat_oracle = lazy (Cat.to_oracle ~name:"LK(cat)" (Lazy.force Cat.lk))
+
+(* The uncached cat reference: the direct interpreter, no static prefix. *)
+module Cat_plain = struct
+  let name = "LK(cat)"
+  let consistent x = Cat.consistent (Lazy.force Cat.lk) x
+end
+
+let enum = Exec.Check.Enum
+and batch = Exec.Check.Batch
+
+(* The prefilter and the cat prefix cache must be invisible in the
+   results (only n_prefiltered differs by construction, so compare
+   everything else). *)
 let test_corpus_agreement () =
-  let lk_cat = Lazy.force Cat.lk in
+  let cat = Lazy.force cat_oracle in
   List.iter
     (fun (file, test) ->
-      let native_on = Exec.Check.run (module Lkmm) test in
-      let native_off = Exec.Check.run ~prefilter:false (module Lkmm) test in
+      let native_on = Exec.Oracle.run ~backend:enum Lkmm.oracle test in
+      let native_off =
+        Exec.Oracle.run ~prefilter:false ~backend:enum Lkmm.oracle test
+      in
       Alcotest.(check bool)
         (file ^ ": native verdicts agree with prefilter off")
         true
         (result_key native_on = result_key native_off
         && native_off.n_prefiltered = 0);
-      let cat_cached =
-        Exec.Check.run (Cat.to_check_model ~name:"LK(cat)" lk_cat) test
-      in
-      let cat_plain =
-        Exec.Check.run
-          (Cat.to_check_model ~name:"LK(cat)" ~cache:false lk_cat)
-          test
-      in
+      let cat_cached = Exec.Oracle.run ~backend:enum cat test in
+      let cat_plain = Exec.Check.run (module Cat_plain) test in
       Alcotest.(check bool)
         (file ^ ": cat verdicts agree with static-prefix cache off")
         true
@@ -282,47 +292,123 @@ let test_corpus_agreement () =
         (native_on.verdict = cat_cached.verdict))
     (sample_tests 11)
 
-(* Batched evaluation (bit planes + delta re-checking) must be invisible
-   in the results, down to witness identity — the correctness contract of
-   the batched path.  Exercised batch on/off × prefilter on/off, for the
-   native axioms and the cat interpreter. *)
+(* Batched evaluation must be invisible in the results, down to witness
+   identity — the correctness contract of the batched path.  Exercised
+   through each oracle's Enum and Batch engines × prefilter on/off, for
+   the native axioms and the cat interpreter. *)
 let witness_rels (x : Exec.t option) =
   Option.map (fun (x : Exec.t) -> (Rel.to_list x.rf, Rel.to_list x.co)) x
 
 let full_key (r : Exec.Check.result) =
   (result_key r, r.n_prefiltered, witness_rels r.witness)
 
+let oracles () = [ ("native", Lkmm.oracle); ("cat", Lazy.force cat_oracle) ]
+
 let test_batched_agreement () =
-  let lk_cat = Lazy.force Cat.lk in
-  let cat_scalar_m = Cat.to_check_model ~name:"LK(cat)" lk_cat in
-  let cat_batched_m, cat_batch = Cat.to_batched_model ~name:"LK(cat)" lk_cat in
   List.iter
     (fun (file, test) ->
-      let pair what scalar batched =
-        Alcotest.(check bool)
-          (Printf.sprintf "%s: %s agrees batched vs scalar" file what)
-          true
-          (full_key scalar = full_key batched)
-      in
-      (* the scalar reference path is what --no-batch selects: batching
-         off AND delta re-evaluation off *)
-      let native_scalar = Exec.Check.run ~delta:false (module Lkmm) test in
-      pair "native"
-        native_scalar
-        (Exec.Check.run ~batch:Lkmm.consistent_mask (module Lkmm) test);
-      pair "native (delta only)" native_scalar
-        (Exec.Check.run (module Lkmm) test);
-      pair "native, prefilter off"
-        (Exec.Check.run ~prefilter:false ~delta:false (module Lkmm) test)
-        (Exec.Check.run ~prefilter:false ~batch:Lkmm.consistent_mask
-           (module Lkmm) test);
-      pair "cat"
-        (Exec.Check.run ~delta:false cat_scalar_m test)
-        (Exec.Check.run ~batch:cat_batch cat_batched_m test);
-      pair "cat, prefilter off"
-        (Exec.Check.run ~prefilter:false ~delta:false cat_scalar_m test)
-        (Exec.Check.run ~prefilter:false ~batch:cat_batch cat_batched_m test))
+      List.iter
+        (fun (what, oracle) ->
+          List.iter
+            (fun prefilter ->
+              let what =
+                if prefilter then what else what ^ ", prefilter off"
+              in
+              let scalar = Exec.Oracle.run ~prefilter ~backend:enum oracle test
+              and batched =
+                Exec.Oracle.run ~prefilter ~backend:batch oracle test
+              in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: %s agrees batched vs scalar" file what)
+                true
+                (full_key scalar = full_key batched
+                && scalar.backend = enum && batched.backend = batch))
+            [ true; false ])
+        (oracles ()))
     (sample_tests 11)
+
+(* The batched all-outcomes path (what the hardware-soundness checks
+   use by default) against the scalar one, on the same sample. *)
+let test_allowed_outcomes_agreement () =
+  List.iter
+    (fun (file, test) ->
+      List.iter
+        (fun (what, oracle) ->
+          let scalar = Exec.Oracle.allowed_outcomes ~backend:enum oracle test
+          and batched =
+            Exec.Oracle.allowed_outcomes ~backend:batch oracle test
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s allowed outcomes agree batched vs scalar"
+               file what)
+            true (scalar = batched && scalar <> []))
+        (oracles ()))
+    (sample_tests 11)
+
+(* The layer counters the benchmark reads must keep moving: a batched
+   check flushes planes (and the cat one hits and misses its prefix
+   cache), the native kernel exits planes early, and the scalar engine
+   touches no batch counter.  MP+locks has event structures with more
+   candidates than one flush holds, so the batched cat engine meets a
+   structure again and hits its prefix slot. *)
+let test_counter_contract () =
+  let value name = Obs.Counter.value (Obs.Counter.make name) in
+  let occupancy () =
+    (Obs.hist_snapshot (Obs.Histogram.make "check.batch.occupancy")).Obs.h_count
+  in
+  let moved names f =
+    let before = List.map value names in
+    f ();
+    List.map2 (fun n b -> (n, value n - b)) names before
+  in
+  let test = Harness.Battery.test_of (Harness.Battery.find "MP+locks") in
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      List.iter
+        (fun (what, oracle) ->
+          let occ = occupancy () in
+          let deltas =
+            moved
+              [ "check.batch.flushes"; "cat.cache.hits"; "cat.cache.misses" ]
+              (fun () ->
+                ignore (Exec.Oracle.run ~backend:batch oracle test))
+          in
+          List.iter
+            (fun (n, d) ->
+              if n = "check.batch.flushes" || what = "cat" then
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s: Batch check moves %s" what n)
+                  true (d > 0))
+            deltas;
+          Alcotest.(check bool)
+            (what ^ ": Batch check moves check.batch.occupancy")
+            true
+            (occupancy () > occ);
+          let occ = occupancy () in
+          let deltas =
+            moved [ "check.batch.flushes" ] (fun () ->
+                ignore (Exec.Oracle.run ~backend:enum oracle test))
+          in
+          Alcotest.(check (list (pair string int)))
+            (what ^ ": Enum check moves no check.batch.* counter")
+            [ ("check.batch.flushes", 0) ]
+            deltas;
+          Alcotest.(check int)
+            (what ^ ": Enum check leaves check.batch.occupancy")
+            occ (occupancy ()))
+        (oracles ());
+      let deltas =
+        moved [ "lkmm.batch.early_exit" ] (fun () ->
+            ignore (Exec.Oracle.run ~backend:batch Lkmm.oracle test))
+      in
+      Alcotest.(check bool)
+        "native: planes exit early on MP+locks" true
+        (List.assoc "lkmm.batch.early_exit" deltas > 0))
 
 (* Run the model anyway on every candidate the prefilter rejects: none
    may be consistent, under the native axioms or the cat interpreter —
@@ -368,6 +454,10 @@ let () =
             test_corpus_agreement;
           Alcotest.test_case "batched vs scalar agreement" `Quick
             test_batched_agreement;
+          Alcotest.test_case "allowed outcomes batched vs scalar" `Quick
+            test_allowed_outcomes_agreement;
+          Alcotest.test_case "layer counter contract" `Quick
+            test_counter_contract;
           Alcotest.test_case "prefilter soundness" `Quick
             test_prefilter_soundness;
         ] );

@@ -112,19 +112,25 @@ let battery tests f =
 
 let lk_cat = lazy (Lazy.force Cat.lk)
 
+(* The cache-off cat column: the direct interpreter, no static prefix. *)
+module Cat_plain = struct
+  let name = "LK(cat)"
+  let consistent x = Cat.consistent (Lazy.force lk_cat) x
+end
+
 let corpus_configs tests =
-  let cat ?cache () =
-    Cat.to_check_model ~name:"LK(cat)" ?cache (Lazy.force lk_cat)
-  in
+  let cat = Cat.to_oracle ~name:"LK(cat)" (Lazy.force lk_cat) in
   let native_off =
     battery tests (fun t -> Exec.Check.run ~prefilter:false (module Lkmm) t)
   and native_on = battery tests (fun t -> Exec.Check.run (module Lkmm) t)
   and cat_off_off =
     battery tests (fun t ->
-        Exec.Check.run ~prefilter:false (cat ~cache:false ()) t)
+        Exec.Check.run ~prefilter:false (module Cat_plain) t)
   and cat_off_on =
-    battery tests (fun t -> Exec.Check.run (cat ~cache:false ()) t)
-  and cat_on_on = battery tests (fun t -> Exec.Check.run (cat ()) t) in
+    battery tests (fun t -> Exec.Check.run (module Cat_plain) t)
+  and cat_on_on =
+    battery tests (fun t -> Exec.Oracle.run ~backend:Exec.Check.Enum cat t)
+  in
   (native_off, native_on, cat_off_off, cat_off_on, cat_on_on)
 
 (* ------------------------------------------------------------------ *)
@@ -134,10 +140,10 @@ let corpus_configs tests =
 let smoke_stride = 5
 
 let run_smoke tests =
-  let cat_model = Cat.to_check_model ~name:"LK(cat)" (Lazy.force lk_cat) in
+  let cat = Cat.to_oracle ~name:"LK(cat)" (Lazy.force lk_cat) in
   battery tests (fun t ->
       ignore (Sys.opaque_identity (Exec.Check.run (module Lkmm) t));
-      Exec.Check.run cat_model t)
+      Exec.Oracle.run ~backend:Exec.Check.Enum cat t)
 
 (* Pull a float field out of the committed baseline without a JSON
    dependency: the file is machine-written, so a textual scan is safe. *)
