@@ -45,14 +45,19 @@ let rotations cycle =
   in
   List.init n (fun k -> rot k cycle)
 
+(* Each edge is named once and rotates with its name, so each rotation's
+   key is one concatenation. *)
 let canonical cycle =
-  let key c = String.concat "+" (List.map Edge.to_string c) in
-  let best =
+  let named = List.map (fun e -> (e, Edge.to_string e)) cycle in
+  let key c = String.concat "+" (List.map snd c) in
+  let best, _ =
     List.fold_left
-      (fun acc c -> if key c < key acc then c else acc)
-      cycle (rotations cycle)
+      (fun ((_, best_key) as acc) c ->
+        let k = key c in
+        if k < best_key then (c, k) else acc)
+      (named, key named) (rotations named)
   in
-  best
+  List.map fst best
 
 let is_canonical cycle = canonical cycle = cycle
 

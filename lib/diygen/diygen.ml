@@ -15,28 +15,56 @@ module Realize = Realize
 let generate ?vocabulary n =
   List.filter_map Realize.test_of_cycle (Cycle.enumerate ?vocabulary n)
 
+(* The edges a walk may take next, per direction of the event it stands
+   on ([None]: unconstrained, e.g. the first step), in vocabulary order.
+   Computed once per vocabulary; the one-entry memo is keyed on the
+   vocabulary list physically and swapped atomically, so domains
+   generating concurrently at worst rebuild it. *)
+type step_table = {
+  any : Edge.t array;
+  from_r : Edge.t array;
+  from_w : Edge.t array;
+}
+
+let step_table_of vocabulary =
+  let from d =
+    Array.of_list
+      (List.filter
+         (fun e -> match Edge.src_dir e with Some d' -> d = d' | None -> true)
+         vocabulary)
+  in
+  { any = Array.of_list vocabulary; from_r = from Edge.R; from_w = from Edge.W }
+
+let step_memo : (Edge.t list * step_table) option Atomic.t = Atomic.make None
+
+let step_table vocabulary =
+  match Atomic.get step_memo with
+  | Some (v, t) when v == vocabulary -> t
+  | _ ->
+      let t = step_table_of vocabulary in
+      Atomic.set step_memo (Some (vocabulary, t));
+      t
+
 (* Build one junction-consistent random cycle of length [n], so most
    candidates are sane; full validity is still checked by Cycle.sane /
    Realize.  Shared by {!sample} and the deterministic per-seed
-   generation below. *)
+   generation below: one RNG draw per step, uniform over the edges the
+   step table allows. *)
 let random_cycle ~vocabulary ~rng n =
-  let pick_from l = List.nth l (Random.State.int rng (List.length l)) in
+  let table = step_table vocabulary in
   let rec go acc prev k =
     if k = 0 then Some (List.rev acc)
     else
       let compat =
-        List.filter
-          (fun e ->
-            match (prev, Edge.src_dir e) with
-            | Some d, Some d' -> d = d'
-            | _ -> true)
-          vocabulary
+        match prev with
+        | None -> table.any
+        | Some Edge.R -> table.from_r
+        | Some Edge.W -> table.from_w
       in
-      match compat with
-      | [] -> None
-      | _ ->
-          let e = pick_from compat in
-          go (e :: acc) (Edge.tgt_dir e) (k - 1)
+      if Array.length compat = 0 then None
+      else
+        let e = compat.(Random.State.int rng (Array.length compat)) in
+        go (e :: acc) (Edge.tgt_dir e) (k - 1)
   in
   go [] None n
 

@@ -271,7 +271,8 @@ let test_of_cycle cycle =
             }
           in
           (* validation: the pinned outcome must exist among the candidate
-             executions, else the realisation was degenerate *)
-          let candidates = Exec.of_test test in
-          if List.exists Exec.satisfies_cond candidates then Some test
+             executions, else the realisation was degenerate; enumeration
+             stops at the first one found *)
+          if Seq.exists Exec.satisfies_cond (Exec.of_test_seq test) then
+            Some test
           else None)

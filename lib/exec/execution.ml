@@ -77,14 +77,15 @@ let compute_crit (events : Event.t array) =
                 else (acc, depth + 1, outer)
             | Event.Rcu_unlock -> (
                 match (depth, outer) with
-                | 1, Some l -> (Rel.add l e.id acc, 0, None)
+                | 1, Some l -> ((l, e.id) :: acc, 0, None)
                 | d, _ when d > 1 -> (acc, d - 1, outer)
                 | _ -> (acc, 0, None) (* unmatched unlock: ignored *))
             | _ -> (acc, depth, outer))
           (acc, 0, None) thread_events
       in
       acc')
-    by_tid Rel.empty
+    by_tid []
+  |> Rel.of_list
 
 (* The witness-independent part of a candidate: everything determined by
    the event structure (events + po), shared by all rf/co witnesses of
@@ -109,47 +110,29 @@ let set_of events p =
     (fun acc (e : Event.t) -> if p e then Iset.add e.id acc else acc)
     Iset.empty events
 
+(* Every static relation is built in one pass over the n² pairs of the
+   universe, straight into its bit matrix. *)
 let structure_of (events : Event.t array) po =
   let n = Array.length events in
   let universe = Iset.of_range 0 (n - 1) in
-  let same_loc (e1 : Event.t) (e2 : Event.t) =
-    Event.is_mem e1 && Event.is_mem e2 && e1.loc = e2.loc
-  in
   let loc_r =
-    Rel.of_list
-      (List.concat_map
-         (fun i ->
-           List.filter_map
-             (fun j ->
-               if i <> j && same_loc events.(i) events.(j) then Some (i, j)
-               else None)
-             (List.init n Fun.id))
-         (List.init n Fun.id))
+    Rel.init n (fun i j ->
+        let e1 = events.(i) and e2 = events.(j) in
+        i <> j && Event.is_mem e1 && Event.is_mem e2
+        && String.equal e1.loc e2.loc)
   in
-  let int_r =
-    Rel.of_list
-      (List.concat_map
-         (fun i ->
-           List.filter_map
-             (fun j ->
-               if
-                 i <> j
-                 && events.(i).Event.tid >= 0
-                 && events.(i).Event.tid = events.(j).Event.tid
-               then Some (i, j)
-               else None)
-             (List.init n Fun.id))
-         (List.init n Fun.id))
+  let same_thread i j =
+    let t = events.(i).Event.tid in
+    t >= 0 && t = events.(j).Event.tid
   in
-  let ext_r =
-    Rel.diff (Rel.complement ~universe int_r) (Rel.id_of_set universe)
-  in
+  let int_r = Rel.init n (fun i j -> i <> j && same_thread i j) in
+  let ext_r = Rel.init n (fun i j -> i <> j && not (same_thread i j)) in
   {
     st_universe = universe;
     st_loc_r = loc_r;
     st_int_r = int_r;
     st_ext_r = ext_r;
-    st_id_r = Rel.id_of_set universe;
+    st_id_r = Rel.init n Int.equal;
     st_po_loc = Rel.inter po loc_r;
     st_crit = compute_crit events;
     st_reads = set_of events Event.is_read;
@@ -310,8 +293,11 @@ let thread_candidate_lists test =
         if not (Iset.equal s old) then changed := true;
         Hashtbl.replace value_tbl x s)
       tbl;
-    let next = compute () in
-    if !changed && rounds > 0 then go next (rounds - 1) else next
+    (* Unchanged domains recompute the same round: [prev] is final. *)
+    if not !changed then prev
+    else
+      let next = compute () in
+      if rounds > 0 then go next (rounds - 1) else next
   in
   go (compute ()) 4
 
@@ -346,6 +332,7 @@ let seq_product ?(tick = fun () -> ()) lists =
     lists (Seq.return [])
 
 let c_structures = Obs.Counter.make "exec.structures"
+let c_structures_shared = Obs.Counter.make "exec.structures.shared"
 let c_events = Obs.Counter.make "exec.events"
 
 (* The per-structure skeleton: everything the enumeration derives from
@@ -372,10 +359,43 @@ type skeleton = {
          and the non-init writes (in event-id order) *)
 }
 
+(* Do two events agree up to their read/written values?  The structure
+   and every model read events only through these static fields. *)
+let same_static_event (a : Event.t) (b : Event.t) =
+  a.Event.id = b.Event.id && a.Event.tid = b.Event.tid
+  && a.Event.dir = b.Event.dir
+  && a.Event.annot = b.Event.annot
+  && String.equal a.Event.loc b.Event.loc
+
+let same_static_events a b =
+  Array.length a = Array.length b
+  && (try
+        Array.iter2
+          (fun ea eb -> if not (same_static_event ea eb) then raise Exit)
+          a b;
+        true
+      with Exit -> false)
+
 let skeletons ?budget (test : Litmus.Ast.t) =
   let per_thread =
     Obs.with_span ~item:test.name "sem" (fun () ->
         thread_candidate_lists test)
+  in
+  (* Consecutive event structures often differ only in read values (the
+     thread runs branch over them), and a structure is a function of the
+     events' static fields and po alone: such a skeleton reuses its
+     predecessor's structure instead of rebuilding it. *)
+  let last = ref None in
+  let shared_structure events po =
+    match !last with
+    | Some (events', po', st)
+      when same_static_events events events' && Rel.equal po po' ->
+        Obs.Counter.incr c_structures_shared;
+        st
+    | _ ->
+        let st = structure_of events po in
+        last := Some (events, po, st);
+        st
   in
   Option.iter Budget.check_time budget;
   let globals = Litmus.Ast.globals test in
@@ -399,11 +419,11 @@ let skeletons ?budget (test : Litmus.Ast.t) =
         budget;
       (* Assemble events: init writes first, then threads in order. *)
       let events = ref [] in
-      let po = ref Rel.empty in
-      let addr = ref Rel.empty
-      and data = ref Rel.empty
-      and ctrl = ref Rel.empty
-      and rmw = ref Rel.empty in
+      let po = ref [] in
+      let addr = ref []
+      and data = ref []
+      and ctrl = ref []
+      and rmw = ref [] in
       List.iteri
         (fun i x ->
           events :=
@@ -436,20 +456,23 @@ let skeletons ?budget (test : Litmus.Ast.t) =
                 :: !events;
               (* po: total order within the thread *)
               for j = 0 to i - 1 do
-                po := Rel.add (b + j) id !po
+                po := (b + j, id) :: !po
               done)
             c.events;
-          let remap = List.map (fun (x, y) -> (b + x, b + y)) in
-          addr := Rel.union !addr (Rel.of_list (remap c.addr));
-          data := Rel.union !data (Rel.of_list (remap c.data));
-          ctrl := Rel.union !ctrl (Rel.of_list (remap c.ctrl));
-          rmw := Rel.union !rmw (Rel.of_list (remap c.rmw));
+          let remap r ps =
+            r := List.fold_left (fun acc (x, y) -> (b + x, b + y) :: acc) !r ps
+          in
+          remap addr c.addr;
+          remap data c.data;
+          remap ctrl c.ctrl;
+          remap rmw c.rmw;
           base := b + List.length c.events)
         chosen;
       let events =
         Array.of_list (List.sort (fun (a : Event.t) b -> compare a.id b.id)
                          (!events))
       in
+      let po = Rel.of_list !po in
       let final_regs =
         List.concat
           (List.mapi
@@ -491,13 +514,13 @@ let skeletons ?budget (test : Litmus.Ast.t) =
       {
         sk_test = test;
         sk_events = events;
-        sk_po = !po;
-        sk_addr = !addr;
-        sk_data = !data;
-        sk_ctrl = !ctrl;
-        sk_rmw = !rmw;
+        sk_po = po;
+        sk_addr = Rel.of_list !addr;
+        sk_data = Rel.of_list !data;
+        sk_ctrl = Rel.of_list !ctrl;
+        sk_rmw = Rel.of_list !rmw;
         sk_final_regs = final_regs;
-        sk_st = structure_of events !po;
+        sk_st = shared_structure events po;
         sk_rf_choices = per_read_writes;
         sk_co_writes = List.map (fun (x, ws) -> (x, init_id x, ws)) ws_by_loc;
       })
@@ -522,12 +545,13 @@ let co_of_orders sk orders =
             | w :: rest ->
                 pairs
                   (List.fold_left
-                     (fun acc w' -> Rel.add w w' acc)
-                     (Rel.add init_id w acc) rest)
+                     (fun acc w' -> (w, w') :: acc)
+                     ((init_id, w) :: acc) rest)
                   rest
           in
           pairs acc order)
-    Rel.empty sk.sk_co_writes
+    [] sk.sk_co_writes
+  |> Rel.of_list
 
 let of_test_seq ?budget (test : Litmus.Ast.t) =
   let tick () = Option.iter Budget.tick budget in
@@ -561,12 +585,13 @@ let of_test_seq ?budget (test : Litmus.Ast.t) =
         cartesian_product ~tick
           (List.map
              (fun (_, init_id, ws) ->
+               let init_first =
+                 Rel.of_list (List.map (fun w -> (init_id, w)) ws)
+               in
                List.map
                  (fun order ->
                    tick ();
-                   List.fold_left
-                     (fun acc w -> Rel.add init_id w acc)
-                     order ws)
+                   Rel.union order init_first)
                  (Rel.linear_extensions ws))
              sk.sk_co_writes)
       in
@@ -609,22 +634,9 @@ let coherent t = Rel.is_acyclic (Rel.union t.po_loc t.com)
    function of exactly those.  This is componentwise equality, hence an
    equivalence: comparing each candidate against its predecessor in the
    stream keeps a whole buffer pairwise compatible. *)
-let same_static_event (a : Event.t) (b : Event.t) =
-  a.Event.id = b.Event.id && a.Event.tid = b.Event.tid
-  && a.Event.dir = b.Event.dir
-  && a.Event.annot = b.Event.annot
-  && String.equal a.Event.loc b.Event.loc
-
 let static_compatible a b =
   a.events == b.events
-  || Array.length a.events = Array.length b.events
-     && (try
-           Array.iter2
-             (fun ea eb ->
-               if not (same_static_event ea eb) then raise Exit)
-             a.events b.events;
-           true
-         with Exit -> false)
+  || same_static_events a.events b.events
      && Rel.equal a.po b.po && Rel.equal a.addr b.addr
      && Rel.equal a.data b.data && Rel.equal a.ctrl b.ctrl
      && Rel.equal a.rmw b.rmw

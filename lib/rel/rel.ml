@@ -111,6 +111,19 @@ let of_list ps =
 
 let singleton x y = add x y empty
 
+(* One allocation, one pass: bit (x, y) for every x, y in [0, n) with
+   [f x y]. *)
+let init n f =
+  if n < 0 then invalid_arg "Rel.init: negative size";
+  let w = words n in
+  let bits = Array.make (n * w) 0 in
+  for x = 0 to n - 1 do
+    for y = 0 to n - 1 do
+      if f x y then set_bit bits w x y
+    done
+  done;
+  { n; w; bits }
+
 (* Iterate the successors of row [i] in increasing order. *)
 let iter_row f t i =
   let base = i * t.w in
@@ -237,8 +250,8 @@ let rec seqs = function
   | [ t ] -> t
   | t :: ts -> seq t (seqs ts)
 
-let id_of_set s = Iset.fold (fun x acc -> add x x acc) s empty
-let id_of_list xs = List.fold_left (fun acc x -> add x x acc) empty xs
+let id_of_list xs = of_list (List.map (fun x -> (x, x)) xs)
+let id_of_set s = id_of_list (Iset.to_list s)
 
 (* The bit-vector mask of an integer set, at [w] words. *)
 let mask_of_set w s =
@@ -445,15 +458,12 @@ let linear_extensions elems =
         in
         pick [] xs
   in
-  let order_of_list l =
-    let rec go acc = function
-      | [] -> acc
-      | x :: rest ->
-          go (List.fold_left (fun acc y -> add x y acc) acc rest) rest
-    in
-    go empty l
+  let rec pairs acc = function
+    | [] -> acc
+    | x :: rest ->
+        pairs (List.fold_left (fun acc y -> (x, y) :: acc) acc rest) rest
   in
-  List.map order_of_list (perms elems)
+  List.map (fun l -> of_list (pairs [] l)) (perms elems)
 
 let pp ppf t =
   Fmt.pf ppf "{%a}"

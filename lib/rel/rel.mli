@@ -37,6 +37,12 @@ val add : int -> int -> t -> t
 val singleton : int -> int -> t
 val of_list : (int * int) list -> t
 
+(** [init n f] is [{(x, y) | 0 <= x, y < n ∧ f x y}], built in one
+    allocation — the bulk constructor for relations given by a
+    predicate over a known universe.  Raises [Invalid_argument] on
+    negative [n]. *)
+val init : int -> (int -> int -> bool) -> t
+
 (** Pairs in lexicographic order. *)
 val to_list : t -> (int * int) list
 

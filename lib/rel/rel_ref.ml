@@ -22,6 +22,16 @@ let mem x y t = PS.mem (x, y) t
 let add x y t = PS.add (x, y) t
 let singleton x y = PS.singleton (x, y)
 let of_list ps = PS.of_list ps
+
+let init n f =
+  if n < 0 then invalid_arg "Rel.init: negative size";
+  let acc = ref empty in
+  for x = 0 to n - 1 do
+    for y = 0 to n - 1 do
+      if f x y then acc := add x y !acc
+    done
+  done;
+  !acc
 let to_list t = PS.elements t
 let cardinal = PS.cardinal
 let equal = PS.equal

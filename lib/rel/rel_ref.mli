@@ -12,6 +12,7 @@ val mem : int -> int -> t -> bool
 val add : int -> int -> t -> t
 val singleton : int -> int -> t
 val of_list : (int * int) list -> t
+val init : int -> (int -> int -> bool) -> t
 
 (** Pairs in lexicographic order. *)
 val to_list : t -> (int * int) list

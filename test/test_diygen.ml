@@ -203,6 +203,54 @@ let test_seed_denotes_canonical_test () =
           | None -> Alcotest.fail "seed flickered"))
     [ 0; 1; 7; 79; 123; 1024 ]
 
+(* The seed -> test binding is pinned by digest: campaigns regenerate
+   their tests from seeds, so a rewrite of the walk, canonicalisation or
+   realisation must not re-map a single seed.  Each digest is the MD5 of
+   "<seed>:<Litmus.to_string test>\n" (or "<seed>:-\n" for a seed that
+   realises nothing) over seeds 0..1999. *)
+let seed_digest ?vocabulary ~size () =
+  let b = Buffer.create (1 lsl 20) in
+  for seed = 0 to 1999 do
+    Buffer.add_string b (string_of_int seed);
+    Buffer.add_char b ':';
+    (match Diygen.test_of_seed ?vocabulary ~size seed with
+    | None -> Buffer.add_char b '-'
+    | Some t -> Buffer.add_string b (Litmus.to_string t));
+    Buffer.add_char b '\n'
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_seed_golden () =
+  let core = E.core_vocabulary in
+  List.iter
+    (fun (what, expected, digest) ->
+      Alcotest.(check string) what expected (digest ()))
+    [
+      ( "core size 4",
+        "79dfbbbcdcdce47b440b5c54ce84764f",
+        seed_digest ~vocabulary:core ~size:4 );
+      ( "core size 5",
+        "af1d83b10bf511d756fdbc20973d8e50",
+        seed_digest ~vocabulary:core ~size:5 );
+      ( "core size 6",
+        "20fe86e99e8090cbf655087c765e3833",
+        seed_digest ~vocabulary:core ~size:6 );
+      ( "full size 5",
+        "0ad46d69b4d9857a675b56b9ab5d11f8",
+        seed_digest ~vocabulary:E.vocabulary ~size:5 );
+    ]
+
+let test_generate_golden () =
+  let digest ?vocabulary n =
+    let tests = Diygen.generate ?vocabulary n in
+    let src = String.concat "\n" (List.map Litmus.to_string tests) in
+    Digest.to_hex (Digest.string src)
+  in
+  Alcotest.(check string) "generate 3" "1a28533baac125b44cffb211d8f8c40b"
+    (digest 3);
+  Alcotest.(check string) "generate 4, core" "8e113a28ef9c12ee3d9f3dabdb346d1b"
+    (digest ~vocabulary:E.core_vocabulary 4)
+
 let () =
   Alcotest.run "diygen"
     [
@@ -239,5 +287,7 @@ let () =
             test_seed_range_deterministic;
           Alcotest.test_case "canonical per seed" `Quick
             test_seed_denotes_canonical_test;
+          Alcotest.test_case "seed golden" `Quick test_seed_golden;
+          Alcotest.test_case "generate golden" `Quick test_generate_golden;
         ] );
     ]

@@ -105,6 +105,20 @@ let prop_cyclicity_agrees =
          = Option.map List.length (S.find_cycle s)
       && D.topological_sort ~universe:u d = S.topological_sort ~universe:u s)
 
+(* The bulk builder against the reference's pair-by-pair one, on
+   predicates drawn as random pair sets (and their complements, so dense
+   relations crossing row words are covered too). *)
+let prop_init_agrees =
+  QCheck2.Test.make ~name:"init agrees with the reference" ~count:2000
+    gen_input (fun (n, ps1, _) ->
+      let s = S.of_list ps1 in
+      let p x y = S.mem x y s in
+      let q x y = not (p x y) in
+      agree (D.init n p) (S.init n p)
+      && agree (D.init n q) (S.init n q)
+      && D.equal (D.init n p) (D.of_list ps1)
+      && agree (D.init 0 q) S.empty)
+
 let prop_linear_extensions_agree =
   QCheck2.Test.make ~name:"linear extensions agree (incl. duplicates)"
     ~count:500
@@ -410,6 +424,126 @@ let test_counter_contract () =
         "native: planes exit early on MP+locks" true
         (List.assoc "lkmm.batch.early_exit" deltas > 0))
 
+(* The enumeration statics are bulk-built and shared between event
+   structures of one static shape.  This recomputes each of them from
+   the candidate's own events and po with plain pair lists, over every
+   candidate of the corpus, of the battery (whose pointer-chasing tests
+   have structures differing only in a location) and of a size-5/6
+   diygen sample: a wrong bulk build or a wrong share shows as a
+   disagreement on a candidate.  The shared-structure counter must
+   move, so sharing was exercised. *)
+let spec_statics (x : Exec.t) =
+  let events = Array.to_list x.events in
+  let ids = List.map (fun (e : Exec.Event.t) -> e.id) events in
+  let pairs p =
+    List.concat_map
+      (fun (a : Exec.Event.t) ->
+        List.filter_map
+          (fun (b : Exec.Event.t) -> if p a b then Some (a.id, b.id) else None)
+          events)
+      events
+  in
+  let mem (e : Exec.Event.t) = e.dir <> Exec.Event.F in
+  let internal (a : Exec.Event.t) (b : Exec.Event.t) =
+    a.id <> b.id && a.tid >= 0 && a.tid = b.tid
+  in
+  let loc =
+    pairs (fun a b -> a.id <> b.id && mem a && mem b && a.loc = b.loc)
+  in
+  (* outermost rcu_read_lock to its matching unlock, thread by thread *)
+  let crit =
+    List.concat_map
+      (fun tid ->
+        let rec go depth outer acc = function
+          | [] -> acc
+          | (e : Exec.Event.t) :: rest -> (
+              match (e.annot, depth, outer) with
+              | Rcu_lock, 0, _ -> go 1 (Some e.id) acc rest
+              | Rcu_lock, d, _ -> go (d + 1) outer acc rest
+              | Rcu_unlock, 1, Some l -> go 0 None ((l, e.id) :: acc) rest
+              | Rcu_unlock, d, _ when d > 1 -> go (d - 1) outer acc rest
+              | Rcu_unlock, _, _ -> go 0 None acc rest
+              | _ -> go depth outer acc rest)
+        in
+        go 0 None []
+          (List.filter (fun (e : Exec.Event.t) -> e.tid = tid) events))
+      (List.sort_uniq compare
+         (List.filter_map
+            (fun (e : Exec.Event.t) -> if e.tid >= 0 then Some e.tid else None)
+            events))
+  in
+  let set p =
+    List.filter_map
+      (fun (e : Exec.Event.t) -> if p e then Some e.id else None)
+      events
+  in
+  ( [
+      ("loc", loc);
+      ("int", pairs internal);
+      ("ext", pairs (fun a b -> a.id <> b.id && not (internal a b)));
+      ("id", List.map (fun i -> (i, i)) ids);
+      ("po-loc", List.filter (fun p -> List.mem p loc) (D.to_list x.po));
+      ("crit", crit);
+    ],
+    [
+      ("universe", ids);
+      ("R", set (fun e -> e.dir = Exec.Event.R));
+      ("W", set (fun e -> e.dir = Exec.Event.W));
+      ("F", set (fun e -> e.dir = Exec.Event.F));
+      ("M", set mem);
+      ("IW", set (fun e -> e.annot = Exec.Event.Init));
+    ] )
+
+let test_statics_spec () =
+  let seeded =
+    List.concat_map
+      (fun size ->
+        Diygen.generate_range ~vocabulary:Diygen.Edge.core_vocabulary ~size 0
+          2000
+        |> List.map (fun (seed, (t : Litmus.Ast.t)) ->
+               (Printf.sprintf "seed %d size %d" seed size, t)))
+      [ 5; 6 ]
+  in
+  let candidates = ref 0 in
+  let check (what, test) =
+    Seq.iter
+      (fun (x : Exec.t) ->
+        incr candidates;
+        let rels, sets = spec_statics x in
+        List.iter2
+          (fun (name, spec) got ->
+            if List.sort compare spec <> D.to_list got then
+              Alcotest.failf "%s: %s disagrees with its spec" what name)
+          rels
+          [ x.loc_r; x.int_r; x.ext_r; x.id_r; x.po_loc; x.crit ];
+        List.iter2
+          (fun (name, spec) got ->
+            if spec <> Iset.to_list got then
+              Alcotest.failf "%s: %s disagrees with its spec" what name)
+          sets
+          [ x.universe; x.reads; x.writes; x.fences; x.mem; x.init_ws ])
+      (Exec.of_test_seq test)
+  in
+  let shared = Obs.Counter.make "exec.structures.shared" in
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      let battery =
+        List.map
+          (fun e ->
+            let t = Harness.Battery.test_of e in
+            (t.Litmus.Ast.name, t))
+          Harness.Battery.all
+      in
+      List.iter check (sample_tests 1 @ battery @ seeded);
+      Alcotest.(check bool) "structures were shared" true
+        (Obs.Counter.value shared > 0));
+  Alcotest.(check bool) "sample is large" true (!candidates > 3000)
+
 (* Run the model anyway on every candidate the prefilter rejects: none
    may be consistent, under the native axioms or the cat interpreter —
    the executable form of the soundness argument (an sc-per-location
@@ -444,6 +578,7 @@ let () =
             prop_ops_agree;
             prop_closures_agree;
             prop_cyclicity_agrees;
+            prop_init_agrees;
             prop_linear_extensions_agree;
             prop_batch_ops_agree;
             prop_batch_masks_agree;
@@ -460,5 +595,7 @@ let () =
             test_counter_contract;
           Alcotest.test_case "prefilter soundness" `Quick
             test_prefilter_soundness;
+          Alcotest.test_case "statics match their spec" `Quick
+            test_statics_spec;
         ] );
     ]

@@ -172,6 +172,17 @@ let profile path =
   (* batched evaluation: occupancy is a plane count, not a duration, so
      it gets its own table (and stays out of the µs-labelled one) *)
   let counter n = List.assoc_opt n !counters in
+  (* structure sharing: every enumerated event structure either builds
+     its statics or reuses its predecessor's (same static shape) *)
+  (match counter "exec.structures" with
+  | Some total when total > 0 ->
+      let shared = Option.value ~default:0 (counter "exec.structures.shared") in
+      Printf.printf "\nEnumeration:\n";
+      Printf.printf "  %-28s %12s (%.1f%% shared)\n"
+        "structures built / shared"
+        (Printf.sprintf "%d / %d" (total - shared) shared)
+        (100. *. float_of_int shared /. float_of_int total)
+  | _ -> ());
   let occupancy =
     List.find_opt (fun (n, _, _, _) -> n = "check.batch.occupancy") !hists
   in
