@@ -255,41 +255,25 @@ let to_string t = Fmt.str "%a" pp t
 (* JSON (schema v3: the [explanations] array of report entries)        *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let prim_to_json (p : prim) =
   Printf.sprintf "{\"src\": %d, \"dst\": %d, \"label\": \"%s\"}" p.p_src
-    p.p_dst (json_escape p.p_label)
+    p.p_dst (Obs.json_escape p.p_label)
 
 let step_to_json (s : step) =
   Printf.sprintf
     "{\"src\": %d, \"dst\": %d, \"label\": \"%s\", \"prims\": [%s]}" s.src
-    s.dst (json_escape s.label)
+    s.dst (Obs.json_escape s.label)
     (String.concat ", " (List.map prim_to_json s.prims))
 
 let to_json (t : t) =
   Printf.sprintf
     "{\"check\": \"%s\", \"kind\": \"%s\", \"validated\": true, \"steps\": \
      [%s], \"events\": [%s]}"
-    (json_escape t.check) (kind_to_string t.kind)
+    (Obs.json_escape t.check) (kind_to_string t.kind)
     (String.concat ", " (List.map step_to_json t.steps))
     (String.concat ", "
        (List.map
           (fun (id, l) ->
             Printf.sprintf "{\"id\": %d, \"label\": \"%s\"}" id
-              (json_escape l))
+              (Obs.json_escape l))
           t.events))

@@ -178,13 +178,13 @@ let classify ~checks ~backend ~c11 ~archs ~hw_runs ~limits ~size seed =
       in
       Printf.sprintf
         "{\"seed\": %d, \"test\": \"%s\", \"time_s\": %.6f, \"v\": {%s}}" seed
-        (Report.json_escape t.Litmus.Ast.name)
+        (Obs.json_escape t.Litmus.Ast.name)
         (Unix.gettimeofday () -. t0)
         (String.concat ", "
            (List.map
               (fun (m, x) ->
-                Printf.sprintf "\"%s\": \"%s\"" (Report.json_escape m)
-                  (Report.json_escape x))
+                Printf.sprintf "\"%s\": \"%s\"" (Obs.json_escape m)
+                  (Obs.json_escape x))
               v))
 
 (* ------------------------------------------------------------------ *)
@@ -567,7 +567,7 @@ let mine ?(explain = false) m =
 
 let campaign_schema_version = 1
 
-let esc = Report.json_escape
+let esc = Obs.json_escape
 
 let exemplar_to_json e =
   Printf.sprintf "{\"seed\": %d, \"test\": \"%s\", \"v\": {%s}}" e.seed

@@ -94,7 +94,7 @@ let shard_id lo hi = Printf.sprintf "s%d-%d" lo hi
 (* JSON emission                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let esc = Report.json_escape
+let esc = Obs.json_escape
 
 let spec_to_json s =
   Printf.sprintf

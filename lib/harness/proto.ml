@@ -116,9 +116,9 @@ let parse_request line : (request, string * string option) result =
 let check_line ~id ?trace ?(model = "lk") ?timeout_ms ?expected test =
   Printf.sprintf "{\"id\": \"%s\", \"op\": \"check\", \"model\": \"%s\"%s%s%s, \
                   \"test\": \"%s\"}"
-    (Report.json_escape id) (Report.json_escape model)
+    (Obs.json_escape id) (Obs.json_escape model)
     (match trace with
-    | Some t -> Printf.sprintf ", \"trace\": \"%s\"" (Report.json_escape t)
+    | Some t -> Printf.sprintf ", \"trace\": \"%s\"" (Obs.json_escape t)
     | None -> "")
     (match timeout_ms with
     | Some ms -> Printf.sprintf ", \"timeout_ms\": %d" ms
@@ -127,20 +127,20 @@ let check_line ~id ?trace ?(model = "lk") ?timeout_ms ?expected test =
     | Some v ->
         Printf.sprintf ", \"expected\": \"%s\"" (Exec.Check.verdict_to_string v)
     | None -> "")
-    (Report.json_escape test)
+    (Obs.json_escape test)
 
 let simple_line ~id ?trace op =
-  Printf.sprintf "{\"id\": \"%s\", \"op\": \"%s\"%s}" (Report.json_escape id)
+  Printf.sprintf "{\"id\": \"%s\", \"op\": \"%s\"%s}" (Obs.json_escape id)
     op
     (match trace with
-    | Some t -> Printf.sprintf ", \"trace\": \"%s\"" (Report.json_escape t)
+    | Some t -> Printf.sprintf ", \"trace\": \"%s\"" (Obs.json_escape t)
     | None -> "")
 
 let chaos_wedge_line ~id ?trace seconds =
   Printf.sprintf "{\"id\": \"%s\", \"op\": \"chaos_wedge\", \"seconds\": %g%s}"
-    (Report.json_escape id) seconds
+    (Obs.json_escape id) seconds
     (match trace with
-    | Some t -> Printf.sprintf ", \"trace\": \"%s\"" (Report.json_escape t)
+    | Some t -> Printf.sprintf ", \"trace\": \"%s\"" (Obs.json_escape t)
     | None -> "")
 
 (* ------------------------------------------------------------------ *)
@@ -179,11 +179,11 @@ let response_line ~id ~cls ?trace ?cache ?entry ?msg ?(extra = []) () =
   let b = Buffer.create 256 in
   Buffer.add_string b
     (Printf.sprintf "{\"id\": \"%s\", \"class\": \"%s\""
-       (Report.json_escape id) (cls_name cls));
+       (Obs.json_escape id) (cls_name cls));
   (match trace with
   | Some t ->
       Buffer.add_string b
-        (Printf.sprintf ", \"trace\": \"%s\"" (Report.json_escape t))
+        (Printf.sprintf ", \"trace\": \"%s\"" (Obs.json_escape t))
   | None -> ());
   (match cache with
   | Some hit ->
@@ -193,7 +193,7 @@ let response_line ~id ~cls ?trace ?cache ?entry ?msg ?(extra = []) () =
   (match msg with
   | Some m ->
       Buffer.add_string b
-        (Printf.sprintf ", \"msg\": \"%s\"" (Report.json_escape m))
+        (Printf.sprintf ", \"msg\": \"%s\"" (Obs.json_escape m))
   | None -> ());
   List.iter
     (fun (k, raw_json) ->

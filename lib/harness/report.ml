@@ -165,23 +165,6 @@ let pp ppf r =
     (List.length r.entries)
     r.n_pass r.n_fail r.n_error r.n_crash r.n_gave_up r.wall
 
-(* Minimal JSON emission (no JSON library in the tree). *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Reports and journal lines carry this version so downstream consumers
    can detect format changes; bump on any incompatible field change
    (history in the module header). *)
@@ -190,7 +173,7 @@ let schema_version = 4
 let entry_to_json e =
   let base =
     Printf.sprintf "\"id\": \"%s\", \"time_s\": %.6f, \"candidates\": %d%s%s"
-      (json_escape e.item_id) e.time e.n_candidates
+      (Obs.json_escape e.item_id) e.time e.n_candidates
       (match e.result with
       | Some r ->
           Printf.sprintf
@@ -219,19 +202,19 @@ let entry_to_json e =
     match e.status with
     | Pass v ->
         Printf.sprintf "\"status\": \"pass\", \"verdict\": \"%s\""
-          (json_escape (Exec.Check.verdict_to_string v))
+          (Obs.json_escape (Exec.Check.verdict_to_string v))
     | Fail { expected; got } ->
         Printf.sprintf
           "\"status\": \"fail\", \"expected\": \"%s\", \"got\": \"%s\""
-          (json_escape (Exec.Check.verdict_to_string expected))
-          (json_escape (Exec.Check.verdict_to_string got))
+          (Obs.json_escape (Exec.Check.verdict_to_string expected))
+          (Obs.json_escape (Exec.Check.verdict_to_string got))
     | Gave_up r ->
         Printf.sprintf "\"status\": \"gave_up\", \"reason\": \"%s\""
-          (json_escape (Exec.Budget.reason_to_string r))
+          (Obs.json_escape (Exec.Budget.reason_to_string r))
     | Err err ->
         Printf.sprintf
           "\"status\": \"error\", \"class\": \"%s\", \"msg\": \"%s\"%s%s"
-          (class_to_string err.cls) (json_escape err.msg)
+          (class_to_string err.cls) (Obs.json_escape err.msg)
           (match err.cls with
           | Crash s -> Printf.sprintf ", \"signal\": %d" s
           | _ -> "")
@@ -265,7 +248,7 @@ let to_json r =
     | None -> ""
     | Some e ->
         Printf.sprintf " \"%s\": %s, \"%s_id\": \"%s\"," name (value e) name
-          (json_escape e.item_id)
+          (Obs.json_escape e.item_id)
   in
   let n_retried =
     List.length (List.filter (fun e -> e.retried) r.entries)

@@ -80,9 +80,6 @@ val pp : t Fmt.t
 (** Version stamped into JSON reports and journal lines. *)
 val schema_version : int
 
-(** JSON string escaping shared by the report and journal writers. *)
-val json_escape : string -> string
-
 val entry_to_json : entry -> string
 
 (** The report as a JSON document (stable field names; see README).

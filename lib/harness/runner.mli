@@ -137,6 +137,5 @@ val pp_status : status Fmt.t
 val pp_entry : entry Fmt.t
 val pp : report Fmt.t
 val schema_version : int
-val json_escape : string -> string
 val entry_to_json : entry -> string
 val to_json : report -> string

@@ -519,55 +519,19 @@ let resolve_model p name =
       end
       else Error ("unknown model: " ^ name)
 
-let stats_extra p now =
-  let alive =
-    Array.fold_left (fun n s -> if s.alive then n + 1 else n) 0 p.slots
-  in
-  let queued, busy =
-    locked p (fun () ->
-        ( Queue.length p.queue,
-          Array.fold_left
-            (fun n s -> if s.busy <> None then n + 1 else n)
-            0 p.slots ))
-  in
-  let served =
-    String.concat ", "
-      (List.mapi
-         (fun i n -> Printf.sprintf "\"%s\": %d"
-             (Proto.cls_name
-                (List.nth
-                   [ Proto.Ok_; Proto.Fail; Proto.Unknown; Proto.Error;
-                     Proto.Overloaded; Proto.Quarantined ]
-                   i))
-             n)
-         (Array.to_list p.served))
-  in
-  [
-    ("workers", string_of_int alive);
-    ("busy", string_of_int busy);
-    ("queued", string_of_int queued);
-    ("gated", string_of_int (List.length p.gated));
-    ("requests", string_of_int p.n_requests);
-    ("replacements", string_of_int p.replacements);
-    ("quarantined_keys",
-     string_of_int
-       (Hashtbl.fold (fun _ s n -> if s >= 2 then n + 1 else n) p.strikes 0));
-    ("cache_size", string_of_int (Vcache.size p.cache));
-    ("cache_hits", string_of_int (Vcache.hits p.cache));
-    ("cache_misses", string_of_int (Vcache.misses p.cache));
-    ("uptime", Printf.sprintf "%.3f" (now -. p.started_at));
-    ("served", "{" ^ served ^ "}");
-  ]
+(* One reading of the daemon's gauges, rendered by both the [stats] and
+   the [metrics] op. *)
+type snapshot = {
+  n_alive : int;
+  n_busy : int;
+  n_queued : int;
+  n_gated : int;
+  n_quarantined : int;
+  served_json : string; (* members of the [served] object *)
+}
 
-(* The [metrics] payload: one self-contained lkmetrics-1 object —
-   counters, gauges and latency/queue-wait percentiles — the same shape
-   {!Campaign}'s periodic snapshots journal, so one schema
-   (ci/metrics.schema.json) validates both surfaces. *)
-let metrics_json p now =
-  let alive =
-    Array.fold_left (fun n s -> if s.alive then n + 1 else n) 0 p.slots
-  in
-  let queued, busy, gated =
+let snapshot p =
+  let n_queued, n_busy, n_gated =
     locked p (fun () ->
         ( Queue.length p.queue,
           Array.fold_left
@@ -575,19 +539,46 @@ let metrics_json p now =
             0 p.slots,
           List.length p.gated ))
   in
-  let served =
-    String.concat ", "
-      (List.mapi
-         (fun i n ->
-           Printf.sprintf "\"%s\": %d"
-             (Proto.cls_name
-                (List.nth
-                   [ Proto.Ok_; Proto.Fail; Proto.Unknown; Proto.Error;
-                     Proto.Overloaded; Proto.Quarantined ]
-                   i))
-             n)
-         (Array.to_list p.served))
-  in
+  {
+    n_alive =
+      Array.fold_left (fun n s -> if s.alive then n + 1 else n) 0 p.slots;
+    n_busy;
+    n_queued;
+    n_gated;
+    n_quarantined =
+      Hashtbl.fold (fun _ s n -> if s >= 2 then n + 1 else n) p.strikes 0;
+    served_json =
+      String.concat ", "
+        (List.map2
+           (fun cls n -> Printf.sprintf "\"%s\": %d" (Proto.cls_name cls) n)
+           [ Proto.Ok_; Proto.Fail; Proto.Unknown; Proto.Error;
+             Proto.Overloaded; Proto.Quarantined ]
+           (Array.to_list p.served));
+  }
+
+let stats_extra p now =
+  let s = snapshot p in
+  [
+    ("workers", string_of_int s.n_alive);
+    ("busy", string_of_int s.n_busy);
+    ("queued", string_of_int s.n_queued);
+    ("gated", string_of_int s.n_gated);
+    ("requests", string_of_int p.n_requests);
+    ("replacements", string_of_int p.replacements);
+    ("quarantined_keys", string_of_int s.n_quarantined);
+    ("cache_size", string_of_int (Vcache.size p.cache));
+    ("cache_hits", string_of_int (Vcache.hits p.cache));
+    ("cache_misses", string_of_int (Vcache.misses p.cache));
+    ("uptime", Printf.sprintf "%.3f" (now -. p.started_at));
+    ("served", "{" ^ s.served_json ^ "}");
+  ]
+
+(* The [metrics] payload: one self-contained lkmetrics-1 object —
+   counters, gauges and latency/queue-wait percentiles — the same shape
+   {!Campaign}'s periodic snapshots journal, so one schema
+   (ci/metrics.schema.json) validates both surfaces. *)
+let metrics_json p now =
+  let s = snapshot p in
   Printf.sprintf
     "{\"schema\": \"lkmetrics-1\", \"ts_us\": %.1f, \"uptime_s\": %.3f, \
      \"requests\": %d, \"queue_depth\": %d, \"gated\": %d, \
@@ -597,11 +588,11 @@ let metrics_json p now =
      %s, \"queue_wait_us\": %s}"
     (Obs.now_us ())
     (now -. p.started_at)
-    p.n_requests queued gated alive busy p.replacements
-    (Hashtbl.fold (fun _ s n -> if s >= 2 then n + 1 else n) p.strikes 0)
+    p.n_requests s.n_queued s.n_gated s.n_alive s.n_busy p.replacements
+    s.n_quarantined
     (Exec.Check.backend_to_string p.cfg.backend)
     (Vcache.size p.cache) (Vcache.hits p.cache) (Vcache.misses p.cache)
-    served
+    s.served_json
     (Obs.hist_metrics_json (Obs.hist_snapshot h_latency))
     (Obs.hist_metrics_json (Obs.hist_snapshot h_queue_wait))
 

@@ -37,7 +37,7 @@ let key ~model_key ~source =
 let line_of_binding vkey entry =
   let line = Journal.line_of_entry entry in
   (* line is "{...}"; re-open it with the vkey member in front. *)
-  Printf.sprintf "{\"vkey\": \"%s\", %s" (Report.json_escape vkey)
+  Printf.sprintf "{\"vkey\": \"%s\", %s" (Obs.json_escape vkey)
     (String.sub line 1 (String.length line - 1))
 
 let cacheable (e : Report.entry) =

@@ -9,15 +9,17 @@
    computes the prefix; [make ?static] reuses a previously computed one,
    and [make_cached] keys a one-slot cache on the physical identity of
    [x.events], which the enumeration shares across all witnesses of one
-   event structure. *)
+   event structure.  The dynamic remainder is {!Chain}'s, instantiated
+   here over {!Rel} ([make]) and over {!Rel.Batch} ([consistent_mask]). *)
 
 module Iset = Rel.Iset
 
 let c_fixpoint = Obs.Counter.make "lkmm.fixpoint_iters"
+let count_fixpoint () = Obs.Counter.incr c_fixpoint
 let c_cache_hits = Obs.Counter.make "lkmm.cache.hits"
 let c_cache_misses = Obs.Counter.make "lkmm.cache.misses"
 
-type static_ctx = {
+type static_ctx = Chain.static_ctx = {
   acq_id : Rel.t; (* identity over read-acquires *)
   rel_id : Rel.t; (* identity over write-releases *)
   s_acq_po : Rel.t;
@@ -129,62 +131,19 @@ let static_of (x : Exec.t) =
 
 let make ?static (x : Exec.t) =
   let s = match static with Some s -> s | None -> static_of x in
-  let ( |>> ) = Rel.seq in
-  let universe = x.universe in
-  let star r = Rel.reflexive_transitive_closure ~universe r in
-  let opt r = Rel.reflexive_closure ~universe r in
-  let rfi_rel_acq = s.rel_id |>> x.rfi |>> s.acq_id in
-  (* Figure 8, the witness-dependent remainder *)
-  let overwrite = Rel.union x.co x.fr in
-  let to_w = Rel.union s.s_rwdep (Rel.inter overwrite x.int_r) in
-  let rrdep = Rel.union x.addr (s.s_dep |>> x.rfi) in
-  let strong_rrdep = Rel.inter (Rel.transitive_closure rrdep) s.s_rb_dep in
-  let to_r = Rel.union strong_rrdep rfi_rel_acq in
-  let ppo =
-    star rrdep |>> Rel.union to_r (Rel.union to_w s.s_fence)
-  in
-  (* A-cumul(r) := rfe? ; r *)
-  let a_cumul r = opt x.rfe |>> r in
-  let cumul_fence =
-    Rel.union (a_cumul (Rel.union s.s_strong_fence s.s_po_rel)) s.s_wmb
-  in
-  let prop =
-    opt (Rel.inter overwrite x.ext_r) |>> star cumul_fence |>> opt x.rfe
-  in
-  let hb =
-    Rel.union
-      (Rel.inter (Rel.diff prop x.id_r) x.int_r)
-      (Rel.union ppo x.rfe)
-  in
-  let pb = prop |>> s.s_strong_fence |>> star hb in
-  (* Figure 12 *)
-  let link = star hb |>> star pb |>> prop in
-  let gp_link = s.s_gp |>> link in
-  let rscs_link = s.s_rscs |>> link in
-  (* rec rcu-path, by Kleene iteration of its monotone defining equation *)
+  let a = Chain.rel ~universe:x.universe in
+  let h = Chain.hb a x s { rfi = x.rfi; rfe = x.rfe; co = x.co; fr = x.fr } in
+  let p = Chain.pb a s ~prop:h.prop ~hb:h.hb in
+  let l = Chain.links a s ~hb_star:p.hb_star ~pb:p.pb ~prop:h.prop in
   let rcu_path =
-    let step p =
-      List.fold_left Rel.union gp_link
-        [
-          p |>> p;
-          gp_link |>> rscs_link;
-          rscs_link |>> gp_link;
-          gp_link |>> p |>> rscs_link;
-          rscs_link |>> p |>> gp_link;
-        ]
-    in
-    let rec go p =
-      Obs.Counter.incr c_fixpoint;
-      let next = step p in
-      if Rel.equal next p then p else go next
-    in
-    go gp_link
+    Chain.rcu_path a ~equal:Rel.equal ~tick:count_fixpoint ~gp_link:l.gp_link
+      ~rscs_link:l.rscs_link
   in
   {
     x;
     acq_po = s.s_acq_po;
     po_rel = s.s_po_rel;
-    rfi_rel_acq;
+    rfi_rel_acq = h.rfi_rel_acq;
     rmb = s.s_rmb;
     wmb = s.s_wmb;
     mb = s.s_mb;
@@ -195,21 +154,21 @@ let make ?static (x : Exec.t) =
     rscs = s.s_rscs;
     dep = s.s_dep;
     rwdep = s.s_rwdep;
-    overwrite;
-    to_w;
-    rrdep;
-    strong_rrdep;
-    to_r;
+    overwrite = h.overwrite;
+    to_w = h.to_w;
+    rrdep = h.rrdep;
+    strong_rrdep = h.strong_rrdep;
+    to_r = h.to_r;
     strong_fence = s.s_strong_fence;
     fence = s.s_fence;
-    ppo;
-    cumul_fence;
-    prop;
-    hb;
-    pb;
-    link;
-    gp_link;
-    rscs_link;
+    ppo = h.ppo;
+    cumul_fence = h.cumul_fence;
+    prop = h.prop;
+    hb = h.hb;
+    pb = p.pb;
+    link = l.link;
+    gp_link = l.gp_link;
+    rscs_link = l.rscs_link;
     rcu_path;
   }
 
@@ -250,13 +209,14 @@ let make_cached (x : Exec.t) = make ~static:(static_cached x) x
    candidate-major bit planes ({!Rel.Batch}) and the Figure 8 chain
    runs word-parallel across all of them, with the static prefix —
    equal across the batch by {!Exec.Execution.static_compatible} —
-   broadcast from the first candidate's cache entry.  The axioms are decided in Figure 3
-   order, and after each one the surviving-plane mask shrinks — decided
-   candidates are dropped from the remaining work entirely (the At
-   stage restricts its inputs, the Hb/Pb/Rcu chain is built only for
-   planes that survived At, and Pb/Rcu inputs are re-restricted), which
-   is work the scalar path cannot skip: [make] computes the whole chain
-   eagerly before any axiom is tested. *)
+   broadcast from the first candidate's cache entry.  The axioms are
+   decided in Figure 3 order, and after each one the surviving-plane
+   mask shrinks — decided candidates are dropped from the remaining
+   work entirely (the At stage restricts its inputs, each later
+   {!Chain} stage runs over an algebra masked to the planes that
+   survived the previous axiom, on re-restricted inputs), which is work
+   the scalar path cannot skip: [make] computes the whole chain eagerly
+   before any axiom is tested. *)
 
 module B = Rel.Batch
 
@@ -269,6 +229,29 @@ let popcount m =
     m := !m land (!m - 1)
   done;
   !c
+
+(* The bit-plane algebra of one stage: static relations are broadcast
+   into the planes of [mask], each at most once per stage. *)
+let batch_algebra ~n ~mask =
+  let consts = ref [] in
+  let const r =
+    match List.assq_opt r !consts with
+    | Some b -> b
+    | None ->
+        let b = B.broadcast ~n ~mask r in
+        consts := (r, b) :: !consts;
+        b
+  in
+  {
+    Chain.const;
+    union = B.union;
+    inter_const = (fun b r -> B.inter b (const r));
+    diff_const = (fun b r -> B.diff b (const r));
+    seq = Chain.seq_left B.seq;
+    plus = B.transitive_closure;
+    star = B.reflexive_transitive_closure ~mask;
+    opt = B.reflexive_closure ~mask;
+  }
 
 let consistent_mask ~coherent ~mask (xs : Exec.t array) =
   let x0 = xs.(0) in
@@ -299,73 +282,41 @@ let consistent_mask ~coherent ~mask (xs : Exec.t array) =
             (B.seq
                (dyn ~mask:!live (fun x -> x.Exec.fre))
                (dyn ~mask:!live (fun x -> x.Exec.coe)))));
-  (* Hb, Pb and Rcu share the Figure 8 chain. *)
+  (* Hb, Pb and Rcu: one stage of the chain each. *)
   if !live <> 0 then begin
     let lm = !live in
-    let bc r = bc ~mask:lm r and dyn f = dyn ~mask:lm f in
-    let ( |>> ) = B.seq in
-    let star r = B.reflexive_transitive_closure ~mask:lm r in
-    let opt r = B.reflexive_closure ~mask:lm r in
-    let rfi = dyn (fun x -> x.Exec.rfi) in
-    let rfe = dyn (fun x -> x.Exec.rfe) in
-    let overwrite =
-      B.union (dyn (fun x -> x.Exec.co)) (dyn (fun x -> x.Exec.fr))
+    let dyn f = dyn ~mask:lm f in
+    let h =
+      Chain.hb (batch_algebra ~n ~mask:lm) x0 s
+        {
+          rfi = dyn (fun x -> x.Exec.rfi);
+          rfe = dyn (fun x -> x.Exec.rfe);
+          co = dyn (fun x -> x.Exec.co);
+          fr = dyn (fun x -> x.Exec.fr);
+        }
     in
-    let int_b = bc x0.Exec.int_r in
-    let rfi_rel_acq = bc s.rel_id |>> rfi |>> bc s.acq_id in
-    let to_w = B.union (bc s.s_rwdep) (B.inter overwrite int_b) in
-    let rrdep = B.union (bc x0.Exec.addr) (bc s.s_dep |>> rfi) in
-    let strong_rrdep =
-      B.inter (B.transitive_closure rrdep) (bc s.s_rb_dep)
-    in
-    let to_r = B.union strong_rrdep rfi_rel_acq in
-    let ppo = star rrdep |>> B.union to_r (B.union to_w (bc s.s_fence)) in
-    let cumul_fence =
-      B.union
-        (opt rfe |>> bc (Rel.union s.s_strong_fence s.s_po_rel))
-        (bc s.s_wmb)
-    in
-    let prop =
-      opt (B.inter overwrite (bc x0.Exec.ext_r))
-      |>> star cumul_fence |>> opt rfe
-    in
-    let hb =
-      B.union
-        (B.inter (B.diff prop (bc x0.Exec.id_r)) int_b)
-        (B.union ppo rfe)
-    in
-    settle ~last:false (B.acyclic_mask ~mask:lm hb);
+    settle ~last:false (B.acyclic_mask ~mask:lm h.hb);
     if !live <> 0 then begin
       let lm = !live in
-      let prop = B.restrict ~mask:lm prop in
-      let hb = B.restrict ~mask:lm hb in
-      let pb = prop |>> bc s.s_strong_fence |>> star hb in
-      settle ~last:false (B.acyclic_mask ~mask:lm pb);
+      let prop = B.restrict ~mask:lm h.prop in
+      let p =
+        Chain.pb (batch_algebra ~n ~mask:lm) s ~prop
+          ~hb:(B.restrict ~mask:lm h.hb)
+      in
+      settle ~last:false (B.acyclic_mask ~mask:lm p.pb);
       if !live <> 0 then begin
         let lm = !live in
-        let link =
-          star (B.restrict ~mask:lm hb)
-          |>> star (B.restrict ~mask:lm pb)
-          |>> B.restrict ~mask:lm prop
+        let a = batch_algebra ~n ~mask:lm in
+        let l =
+          Chain.links a s
+            ~hb_star:(B.restrict ~mask:lm p.hb_star)
+            ~pb:(B.restrict ~mask:lm p.pb)
+            ~prop:(B.restrict ~mask:lm prop)
         in
-        let gp_link = bc s.s_gp |>> link in
-        let rscs_link = bc s.s_rscs |>> link in
-        let step p =
-          List.fold_left B.union gp_link
-            [
-              p |>> p;
-              gp_link |>> rscs_link;
-              rscs_link |>> gp_link;
-              gp_link |>> p |>> rscs_link;
-              rscs_link |>> p |>> gp_link;
-            ]
-        in
-        let rec go p =
-          Obs.Counter.incr c_fixpoint;
-          let next = step p in
-          if B.equal next p then p else go next
-        in
-        settle ~last:true (B.irreflexive_mask ~mask:lm (go gp_link))
+        settle ~last:true
+          (B.irreflexive_mask ~mask:lm
+             (Chain.rcu_path a ~equal:B.equal ~tick:count_fixpoint
+                ~gp_link:l.gp_link ~rscs_link:l.rscs_link))
       end
     end
   end;

@@ -68,7 +68,7 @@ type ctx = {
     the event structure alone (po, dependencies, fences, gp, rscs),
     identical for every rf/co witness of one structure.  Concrete so the
     symbolic backend ({!Symbolic}) can enter them as constants. *)
-type static_ctx = {
+type static_ctx = Chain.static_ctx = {
   acq_id : Rel.t;  (** identity over read-acquires *)
   rel_id : Rel.t;  (** identity over write-releases *)
   s_acq_po : Rel.t;

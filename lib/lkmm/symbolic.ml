@@ -1,7 +1,6 @@
 (* The LK axioms (Figure 3 plus the RCU axiom of Figure 12) as CNF, for
-   the symbolic backend: the Figure 8 chain of {!Relations.make},
-   transcribed term by term into {!Exec.Solve.Sym} combinators over the
-   symbolic witness relations.
+   the symbolic backend: {!Chain}'s Figure 8/12 definitions instantiated
+   over {!Exec.Solve.Sym} combinators on the symbolic witness relations.
 
    The static prefix is witness-independent, so it is taken — through
    {!Relations.static_cached} — from the representative execution the
@@ -14,42 +13,39 @@
    [test/test_sat.ml] exercises.
 
    The recursive rcu-path is tied off concretely: its may- and
-   must-projections are least fixpoints of the same six-rule step
-   computed in {!Rel}, and one variable per may-pair receives a support
-   clause for every rule instance — the symbolic relation is then at
-   least the concrete rcu-path of any assignment, which is exactly what
-   the irreflexivity assertion needs. *)
+   must-projections are least fixpoints of {!Chain.rcu_step} computed
+   in {!Rel}, and one variable per may-pair receives a support clause
+   for every rule instance — the symbolic relation is then at least the
+   concrete rcu-path of any assignment, which is exactly what the
+   irreflexivity assertion needs. *)
 
 module S = Exec.Solve
 module Sym = Exec.Solve.Sym
 
-(* The six-rule step of Figure 12's [rec rcu-path], over concrete
-   relations — used to compute the may/must fixpoints the symbolic
-   tie-off is built on. *)
-let rcu_step g r p =
-  List.fold_left Rel.union g
-    [
-      Rel.seq p p;
-      Rel.seq g r;
-      Rel.seq r g;
-      Rel.seq g (Rel.seq p r);
-      Rel.seq r (Rel.seq p g);
-    ]
-
-let rcu_lfp g r =
-  let rec go p =
-    let next = rcu_step g r p in
-    if Rel.equal next p then p else go next
-  in
-  go g
+(* The solver algebra: compositions fold right, as the encoding always
+   has. *)
+let algebra ctx =
+  {
+    Chain.const = Sym.const ctx;
+    union = Sym.union ctx;
+    inter_const = Sym.inter_const;
+    diff_const = Sym.diff_const;
+    seq = Chain.seq_right (Sym.seq ctx);
+    plus = Sym.plus ctx;
+    star = Sym.star ctx;
+    opt = Sym.opt;
+  }
 
 (* Symbolic rcu-path: [T] at must-fixpoint pairs, a fresh variable at
    the remaining may-fixpoint pairs, with one support clause per rule
    instance over may-supported tuples. *)
-let rcu_path ctx gp_link rscs_link =
+let rcu_path ctx ~universe gp_link rscs_link =
+  let lfp gp_link rscs_link =
+    Chain.rcu_path (Chain.rel ~universe) ~equal:Rel.equal ~gp_link ~rscs_link
+  in
   let may_g = Sym.may_of gp_link and may_r = Sym.may_of rscs_link in
-  let may_p = rcu_lfp may_g may_r in
-  let must_p = rcu_lfp (Sym.must_of gp_link) (Sym.must_of rscs_link) in
+  let may_p = lfp may_g may_r in
+  let must_p = lfp (Sym.must_of gp_link) (Sym.must_of rscs_link) in
   let p = Sym.make ctx.S.n in
   Rel.iter
     (fun x y ->
@@ -112,66 +108,21 @@ let axioms (e : S.enc) =
   let coe = Sym.inter_const co x.Exec.ext_r in
   (* At: empty (rmw & (fre ; coe)) *)
   Sym.assert_empty ctx (Sym.inter_const (Sym.seq ctx fre coe) x.Exec.rmw);
-  (* Figure 8, the witness-dependent remainder *)
-  let rfi_rel_acq =
-    Sym.seq ctx (Sym.const ctx s.Relations.rel_id)
-      (Sym.seq ctx rfi (Sym.const ctx s.Relations.acq_id))
-  in
-  let overwrite = Sym.union ctx co fr in
-  let to_w =
-    Sym.union ctx
-      (Sym.const ctx s.Relations.s_rwdep)
-      (Sym.inter_const overwrite x.Exec.int_r)
-  in
-  let rrdep =
-    Sym.union ctx
-      (Sym.const ctx x.Exec.addr)
-      (Sym.seq ctx (Sym.const ctx s.Relations.s_dep) rfi)
-  in
-  let strong_rrdep =
-    Sym.inter_const (Sym.plus ctx rrdep) s.Relations.s_rb_dep
-  in
-  let to_r = Sym.union ctx strong_rrdep rfi_rel_acq in
-  let ppo =
-    Sym.seq ctx (Sym.star ctx rrdep)
-      (Sym.union ctx to_r
-         (Sym.union ctx to_w (Sym.const ctx s.Relations.s_fence)))
-  in
-  let cumul_fence =
-    Sym.union ctx
-      (Sym.seq ctx (Sym.opt rfe)
-         (Sym.const ctx
-            (Rel.union s.Relations.s_strong_fence s.Relations.s_po_rel)))
-      (Sym.const ctx s.Relations.s_wmb)
-  in
-  let prop =
-    Sym.seq ctx
-      (Sym.opt (Sym.inter_const overwrite x.Exec.ext_r))
-      (Sym.seq ctx (Sym.star ctx cumul_fence) (Sym.opt rfe))
-  in
-  let hb =
-    Sym.union ctx
-      (Sym.inter_const (Sym.diff_const prop x.Exec.id_r) x.Exec.int_r)
-      (Sym.union ctx ppo rfe)
-  in
+  let a = algebra ctx in
+  let h = Chain.hb a x s { rfi; rfe; co; fr } in
   (* Hb: acyclic hb *)
-  Sym.assert_acyclic ctx hb;
+  Sym.assert_acyclic ctx h.hb;
   (* Pb and Rcu both vanish without a strong fence: pb has a
      strong-fence factor, and gp (hence gp-link, hence rcu-path) is a
      sub-relation of one. *)
-  if not (Rel.is_empty s.Relations.s_strong_fence) then begin
-    let hb_star = Sym.star ctx hb in
-    let pb =
-      Sym.seq ctx prop
-        (Sym.seq ctx (Sym.const ctx s.Relations.s_strong_fence) hb_star)
-    in
+  if not (Rel.is_empty s.s_strong_fence) then begin
+    let p = Chain.pb a s ~prop:h.prop ~hb:h.hb in
     (* Pb: acyclic pb *)
-    Sym.assert_acyclic ctx pb;
-    if not (Rel.is_empty s.Relations.s_gp) then begin
-      let link = Sym.seq ctx hb_star (Sym.seq ctx (Sym.star ctx pb) prop) in
-      let gp_link = Sym.seq ctx (Sym.const ctx s.Relations.s_gp) link in
-      let rscs_link = Sym.seq ctx (Sym.const ctx s.Relations.s_rscs) link in
+    Sym.assert_acyclic ctx p.pb;
+    if not (Rel.is_empty s.s_gp) then begin
+      let l = Chain.links a s ~hb_star:p.hb_star ~pb:p.pb ~prop:h.prop in
       (* Rcu: irreflexive rcu-path *)
-      Sym.assert_irreflexive ctx (rcu_path ctx gp_link rscs_link)
+      Sym.assert_irreflexive ctx
+        (rcu_path ctx ~universe:x.Exec.universe l.gp_link l.rscs_link)
     end
   end

@@ -484,8 +484,9 @@ let merge ?(tid = 0) (d : dump) =
 (* Export                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Obs is beneath every other library in the tree, so it carries its own
-   (tiny) JSON string escaper rather than borrowing the harness's. *)
+(* The tree's one JSON string escaper: Obs is beneath every other
+   library, so the explainers, reports, journals and service protocol
+   all borrow it from here. *)
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in
   String.iter

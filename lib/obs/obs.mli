@@ -156,6 +156,12 @@ val merge : ?tid:int -> dump -> unit
 
 (** {1 Export} *)
 
+(** [json_escape s] is [s] escaped for a JSON string body: quote,
+    backslash, [\n], [\r] and [\t] get their short escapes, other
+    control bytes [\u00XX]; every other byte is copied unchanged.  The
+    tree's one JSON string escaper. *)
+val json_escape : string -> string
+
 val to_jsonl : unit -> string
 (** One JSON object per line: a [meta] line, then [span], [counter] and
     [hist] lines (a ["type"] field discriminates). *)

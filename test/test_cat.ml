@@ -240,6 +240,51 @@ let test_cat_native_agreement_generated () =
         (Exec.of_test t))
     tests
 
+(* The native LK model is one transcription of Figures 3, 8 and 12,
+   evaluated by three engines (scalar, bit-plane batch, SAT); lk.cat is
+   the independent transcription.  Over the seeded size-5 and size-6
+   diygen samples (seeds 0..1999, as the statics test walks them: about
+   190 tests, 1,600 candidates) every engine must give the cat model's
+   verdict, and every candidate the same consistency answer from both
+   models. *)
+let test_engines_cat_agreement_seeded () =
+  let lk_cat = parse_model Cat.Stdmodels.lk in
+  let cat = Cat.to_oracle ~name:"LK(cat)" lk_cat in
+  let tests =
+    List.concat_map
+      (fun size ->
+        Diygen.generate_range ~vocabulary:Diygen.Edge.core_vocabulary ~size 0
+          2000)
+      [ 5; 6 ]
+  in
+  let candidates = ref 0 in
+  List.iter
+    (fun (seed, t) ->
+      let verdict ?backend oracle =
+        Exec.Check.verdict_to_string
+          (Exec.Oracle.run ?backend oracle t).Exec.Check.verdict
+      in
+      let want = verdict cat in
+      List.iter
+        (fun backend ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s (seed %d): %s = cat" t.Litmus.Ast.name seed
+               (Exec.Check.backend_to_string backend))
+            want
+            (verdict ~backend Lkmm.oracle))
+        [ Exec.Check.Enum; Exec.Check.Batch; Exec.Check.Sat ];
+      Seq.iter
+        (fun x ->
+          incr candidates;
+          if Lkmm.consistent x <> Cat.consistent lk_cat x then
+            Alcotest.failf "%s (seed %d): native and cat disagree on a \
+                            candidate"
+              t.Litmus.Ast.name seed)
+        (Exec.of_test_seq t))
+    tests;
+  Alcotest.(check bool) "sample is large" true
+    (List.length tests > 150 && !candidates > 1500)
+
 let () =
   Alcotest.run "cat"
     [
@@ -279,5 +324,7 @@ let () =
             test_cat_native_agreement;
           Alcotest.test_case "cat = native (generated)" `Slow
             test_cat_native_agreement_generated;
+          Alcotest.test_case "engines = cat (seeded size-5/6)" `Slow
+            test_engines_cat_agreement_seeded;
         ] );
     ]

@@ -277,6 +277,23 @@ let test_resume_after_sigkill () =
     (List.length (J.load path));
   Sys.remove path
 
+(* Obs.json_escape is the tree's one JSON string escaper; Journal.Json
+   is its reading half.  Every one-byte string must come back unchanged,
+   and no escaped form may carry a raw control byte. *)
+let test_escape_round_trip () =
+  for b = 0 to 0xff do
+    let s = String.make 1 (Char.chr b) in
+    let escaped = Obs.json_escape s in
+    String.iter
+      (fun c ->
+        if Char.code c < 0x20 then
+          Alcotest.failf "byte 0x%02x: raw control byte in %S" b escaped)
+      escaped;
+    match J.Json.of_string ("\"" ^ escaped ^ "\"") with
+    | J.Json.Str s' when s' = s -> ()
+    | _ -> Alcotest.failf "byte 0x%02x: %S does not round-trip" b escaped
+  done
+
 let () =
   Alcotest.run "journal"
     [
@@ -291,6 +308,8 @@ let () =
           Alcotest.test_case "fsync writer" `Quick test_fsync_writer;
           Alcotest.test_case "truncate at every offset" `Quick
             test_truncate_every_offset;
+          Alcotest.test_case "escape round trip" `Quick
+            test_escape_round_trip;
         ] );
       ( "resume",
         [

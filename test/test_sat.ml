@@ -195,6 +195,66 @@ let test_budget_breakers () =
   expect_verdict "big-forbid sat" "Forbid" (sat_check big_forbid)
 
 (* ------------------------------------------------------------------ *)
+(* Solver-work golden                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The CNF's shape, pinned: per corpus test and per budget-breaker, the
+   SAT verdict with the solver's conflict, decision and unit-propagation
+   counts.  The CDCL search is deterministic, so a change to the
+   encoding — a relation composed in another order, an extra auxiliary
+   variable — moves some count even when every verdict survives.  Most
+   corpus tests are refuted by propagation alone (no conflict, no
+   decision), which is why propagations are pinned too.  Regenerate with
+     UPDATE_GOLDENS=1 dune runtest
+   only after an intentional encoder change. *)
+let golden_path =
+  List.find_opt Sys.file_exists
+    [ "goldens"; "test/goldens"; "../../../test/goldens" ]
+  |> Option.value ~default:"goldens"
+  |> fun d -> Filename.concat d "sat_work.txt"
+
+let propagations = Obs.Counter.make "solve.propagations"
+
+let solver_work name t =
+  let before = Obs.Counter.value propagations in
+  let r = Exec.Oracle.run ~backend:Exec.Check.Sat Lkmm.oracle t in
+  match r.Exec.Check.sat with
+  | Some s ->
+      Printf.sprintf "%s %s %d %d %d\n" name
+        (Exec.Check.verdict_to_string r.Exec.Check.verdict)
+        s.Exec.Check.conflicts s.Exec.Check.decisions
+        (Obs.Counter.value propagations - before)
+  | None -> Alcotest.failf "%s: sat result carries no sat stats" name
+
+let test_solver_work_golden () =
+  match corpus_dir with
+  | None -> Alcotest.fail "corpus directory not found"
+  | Some dir ->
+      Obs.reset ();
+      Obs.set_enabled true;
+      let lines =
+        Fun.protect ~finally:(fun () -> Obs.set_enabled false; Obs.reset ())
+        @@ fun () ->
+        List.map
+          (fun (file, _) ->
+            solver_work file
+              (Litmus.parse
+                 (Harness.Runner.read_file (Filename.concat dir file))))
+          (manifest dir)
+        @ [ solver_work "big-allow" big_allow;
+            solver_work "big-forbid" big_forbid ]
+      in
+      let actual = String.concat "" lines in
+      match Sys.getenv_opt "UPDATE_GOLDENS" with
+      | Some ("" | "0") | None ->
+          Alcotest.(check string) "solver work matches golden"
+            (Harness.Runner.read_file golden_path)
+            actual
+      | Some _ ->
+          Out_channel.with_open_bin golden_path (fun oc ->
+              output_string oc actual)
+
+(* ------------------------------------------------------------------ *)
 (* The re-validation contract                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -247,6 +307,9 @@ let () =
       ( "budget-breakers",
         [ Alcotest.test_case "solver decides what enum cannot" `Quick
             test_budget_breakers ] );
+      ( "solver-work",
+        [ Alcotest.test_case "conflicts and decisions match golden" `Slow
+            test_solver_work_golden ] );
       ( "re-validation",
         [
           Alcotest.test_case "tampered axioms surface as Spurious" `Quick
