@@ -58,14 +58,16 @@ let h_replay = Obs.Histogram.make "cat.replay_us"
     transparent: prefix replay reproduces {!Interp.run} exactly, and
     {!consistent} is the uncached reference.
 
-    The batched engine decides up to 63 pairwise static-compatible
-    witnesses per word-parallel pass ({!Interp.run_with_prefix_batched}),
-    taking statics from the first candidate, which the compatibility
-    contract makes representative.  [~coherent] is ignored — cat models
-    re-check their coherence axiom even on prefiltered candidates, which
-    is sound and keeps the evaluator oblivious to which checks encode
-    coherence.  No symbolic engine yet — a [Sat] request falls back
-    enumeratively, counted, per {!Exec.Oracle.run}. *)
+    Both engines are the one replay, {!Interp.run_with_prefix}: the
+    scalar engine over one candidate's environment, the batched engine
+    over up to 63 pairwise static-compatible witnesses
+    ({!Interp.env_of_executions}) per word-parallel pass, taking statics
+    from the first candidate, which the compatibility contract makes
+    representative.  [~coherent] is ignored — cat models re-check their
+    coherence axiom even on prefiltered candidates, which is sound and
+    keeps the evaluator oblivious to which checks encode coherence.  No
+    symbolic engine yet — a [Sat] request falls back enumeratively,
+    counted, per {!Exec.Oracle.run}. *)
 let to_oracle ~name (model : model) : Exec.Oracle.t =
   let compiled = Interp.compile model in
   let slot : (Exec.Event.t array * Interp.prefix) option ref = ref None in
@@ -89,15 +91,14 @@ let to_oracle ~name (model : model) : Exec.Oracle.t =
           let env = Interp.env_of_execution x in
           let prefix = prefix_of budget x in
           let t0 = if Obs.enabled () then Obs.now_us () else 0. in
-          let outcomes = Interp.run_with_prefix ?budget prefix env in
+          let holds = Interp.run_with_prefix ?budget prefix env <> 0 in
           if Obs.enabled () then
             Obs.Histogram.observe h_replay (Obs.now_us () -. t0);
-          List.for_all (fun (o : Interp.outcome) -> o.holds) outcomes
+          holds
       end : Exec.Check.MODEL))
     ~batch:(fun budget ~coherent:_ ~mask (xs : Exec.t array) ->
       let prefix = prefix_of budget xs.(0) in
-      let benv = Interp.benv_of_executions ~mask xs in
-      Interp.run_with_prefix_batched ?budget prefix benv)
+      Interp.run_with_prefix ?budget prefix (Interp.env_of_executions ~mask xs))
     ()
 
 (** [explainer ?budget model] is a verdict-forensics hook for

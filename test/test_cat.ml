@@ -200,31 +200,159 @@ let test_lk_cat_named_checks () =
     names
 
 (* Full agreement between cat and native models over every candidate
-   execution of the battery. *)
+   execution of the battery, and per test between both engines of the
+   cat oracle (scalar and bit-plane replay) and the native model's
+   verdict and counts. *)
 let test_cat_native_agreement () =
   let pairs =
     [
-      ("LK", Cat.Stdmodels.lk, (module Lkmm : Exec.Check.MODEL));
-      ("SC", Cat.Stdmodels.sc, (module Models.Sc));
-      ("x86-TSO", Cat.Stdmodels.tso, (module Models.Tso));
-      ("C11", Cat.Stdmodels.c11, (module Models.C11));
-      ("C11-psc", Cat.Stdmodels.c11_psc, (module Models.C11.Strengthened));
+      ("LK", Cat.Stdmodels.lk, Lkmm.oracle);
+      ("SC", Cat.Stdmodels.sc, Exec.Oracle.of_model (module Models.Sc));
+      ("x86-TSO", Cat.Stdmodels.tso, Exec.Oracle.of_model (module Models.Tso));
+      ("C11", Cat.Stdmodels.c11, Exec.Oracle.of_model (module Models.C11));
+      ( "C11-psc",
+        Cat.Stdmodels.c11_psc,
+        Exec.Oracle.of_model (module Models.C11.Strengthened) );
     ]
   in
+  let key (r : Exec.Check.result) =
+    Printf.sprintf "%s consistent=%d matching=%d"
+      (Exec.Check.verdict_to_string r.verdict)
+      r.n_consistent r.n_matching
+  in
   List.iter
-    (fun (name, src, native) ->
+    (fun (name, src, (native : Exec.Oracle.t)) ->
       let cat_model = parse_model src in
-      let module N = (val native : Exec.Check.MODEL) in
+      let cat = Cat.to_oracle ~name cat_model in
+      let module N = (val native.model None) in
       List.iter
         (fun (e : Harness.Battery.entry) ->
+          let test = Harness.Battery.test_of e in
           List.iter
             (fun x ->
               Alcotest.(check bool)
                 (Printf.sprintf "%s agrees on %s" name e.name)
                 (N.consistent x) (Cat.consistent cat_model x))
-            (Exec.of_test (Harness.Battery.test_of e)))
+            (Exec.of_test test);
+          let want =
+            key (Exec.Oracle.run ~backend:Exec.Check.Enum native test)
+          in
+          List.iter
+            (fun backend ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s on %s: cat %s = native" name e.name
+                   (Exec.Check.backend_to_string backend))
+                want
+                (key (Exec.Oracle.run ~backend cat test)))
+            [ Exec.Check.Enum; Exec.Check.Batch ])
         Harness.Battery.all)
     pairs
+
+(* The corpus, every test of its manifest (tests run from
+   _build/default/test). *)
+let corpus_tests () =
+  match List.find_opt Sys.file_exists [ "../../../corpus"; "corpus" ] with
+  | None -> Alcotest.fail "corpus directory not found"
+  | Some dir ->
+      let read f = Harness.Runner.read_file (Filename.concat dir f) in
+      read "MANIFEST"
+      |> String.split_on_char '\n'
+      |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+      |> List.map (fun line ->
+             let file = List.hd (String.split_on_char ' ' line) in
+             (file, Litmus.parse (read file)))
+
+(* Both engines of [Cat.to_oracle] replay models through one evaluator;
+   these exercise what the shipped models do not: a static function
+   (closing over a single candidate's environment) applied to witness
+   planes, a recursive definition over witness relations, a complement
+   of a witness relation — each after a check that narrows the live
+   planes — and type errors raised on per-candidate values.  Over the
+   corpus, whose larger tests fill multi-plane batches, the scalar and
+   batched engines must match the uncached interpreter down to witness
+   identity, and the ill-typed models must come back
+   [Unknown (Model_error (Type_error _))] on both. *)
+let semantics_models =
+  [
+    "\"static function\"\nlet f(r) = po ; r\nacyclic po | rf as no-lb\n\
+     acyclic f(rf) | f(co) | fr as f-order";
+    "\"recursion\"\nacyclic po | rf as no-lb\n\
+     let rec r = rf | co | po | (r ; r)\nirreflexive r ; fr as rec-order";
+    "\"complement\"\nacyclic po | rf as no-lb\n\
+     let unread = ~rf & (W * R) & loc\nacyclic po | unread as unread-order";
+  ]
+
+let ill_typed_models =
+  [
+    "\"planes as a set\"\nacyclic [rf] as bad";
+    "\"function as a relation\"\nlet f(r) = po ; r\nacyclic f | rf as bad";
+  ]
+
+let test_engines_semantics_corpus () =
+  let tests = corpus_tests () in
+  let budget () = Exec.Budget.start Exec.Budget.unlimited in
+  let key (r : Exec.Check.result) =
+    ( Exec.Check.verdict_to_string r.verdict,
+      (r.n_candidates, r.n_consistent, r.n_matching, r.outcomes),
+      Option.map
+        (fun (x : Exec.t) -> (Rel.to_list x.rf, Rel.to_list x.co))
+        r.witness )
+  in
+  let occupancy = Obs.Histogram.make "check.batch.occupancy" in
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      List.iter
+        (fun src ->
+          let model = parse_model src in
+          let cat = Cat.to_oracle ~name:model.Cat.Ast.title model in
+          let module Plain = struct
+            let name = model.Cat.Ast.title
+            let consistent x = Cat.consistent model x
+          end in
+          List.iter
+            (fun (file, test) ->
+              let want = key (Exec.Check.run (module Plain) test) in
+              List.iter
+                (fun backend ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s on %s: %s = uncached"
+                       model.Cat.Ast.title file
+                       (Exec.Check.backend_to_string backend))
+                    true
+                    (key (Exec.Oracle.run ~backend cat test) = want))
+                [ Exec.Check.Enum; Exec.Check.Batch ])
+            tests)
+        semantics_models;
+      Alcotest.(check bool)
+        "some batch holds several planes" true
+        ((Obs.hist_snapshot occupancy).Obs.h_max > 1.));
+  List.iter
+    (fun src ->
+      let model = parse_model src in
+      let cat = Cat.to_oracle ~name:model.Cat.Ast.title model in
+      List.iter
+        (fun (file, test) ->
+          List.iter
+            (fun backend ->
+              match
+                (Exec.Oracle.run ~budget:(budget ()) ~backend cat test).verdict
+              with
+              | Exec.Check.Unknown
+                  (Exec.Check.Model_error (Cat.Interp.Type_error _)) ->
+                  ()
+              | v ->
+                  Alcotest.failf "%s on %s (%s): expected a type error, got %s"
+                    model.Cat.Ast.title file
+                    (Exec.Check.backend_to_string backend)
+                    (Exec.Check.verdict_to_string v))
+            [ Exec.Check.Enum; Exec.Check.Batch ])
+        tests)
+    ill_typed_models
 
 let test_cat_native_agreement_generated () =
   let rng = Random.State.make [| 5 |] in
@@ -326,5 +454,7 @@ let () =
             test_cat_native_agreement_generated;
           Alcotest.test_case "engines = cat (seeded size-5/6)" `Slow
             test_engines_cat_agreement_seeded;
+          Alcotest.test_case "cat engines = uncached (corpus semantics)"
+            `Slow test_engines_semantics_corpus;
         ] );
     ]

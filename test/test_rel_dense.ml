@@ -361,10 +361,10 @@ let test_allowed_outcomes_agreement () =
 
 (* The layer counters the benchmark reads must keep moving: a batched
    check flushes planes (and the cat one hits and misses its prefix
-   cache), the native kernel exits planes early, and the scalar engine
-   touches no batch counter.  MP+locks has event structures with more
-   candidates than one flush holds, so the batched cat engine meets a
-   structure again and hits its prefix slot. *)
+   cache), the native kernel and the cat replay exit planes early, and
+   the scalar engine touches no batch counter.  MP+locks has event
+   structures with more candidates than one flush holds, so the batched
+   cat engine meets a structure again and hits its prefix slot. *)
 let test_counter_contract () =
   let value name = Obs.Counter.value (Obs.Counter.make name) in
   let occupancy () =
@@ -422,7 +422,18 @@ let test_counter_contract () =
       in
       Alcotest.(check bool)
         "native: planes exit early on MP+locks" true
-        (List.assoc "lkmm.batch.early_exit" deltas > 0))
+        (List.assoc "lkmm.batch.early_exit" deltas > 0);
+      (* cat's two engines share one replay; only a batch exits early *)
+      let cat = Lazy.force cat_oracle in
+      let early backend =
+        List.assoc "cat.batch.early_exit"
+          (moved [ "cat.batch.early_exit" ] (fun () ->
+               ignore (Exec.Oracle.run ~backend cat test)))
+      in
+      Alcotest.(check bool) "cat: planes exit early on MP+locks" true
+        (early batch > 0);
+      Alcotest.(check int) "cat: Enum check moves no cat.batch.early_exit" 0
+        (early enum))
 
 (* The enumeration statics are bulk-built and shared between event
    structures of one static shape.  This recomputes each of them from
