@@ -14,6 +14,7 @@ open Cmdliner
 let main json trace metrics dir =
   Harness.Cli.with_obs ~trace ~metrics @@ fun () ->
   let module R = Harness.Runner in
+  let module Rep = Harness.Report in
   let ppf = if json then Fmt.stderr else Fmt.stdout in
   let t_start = Unix.gettimeofday () in
   if not (Sys.file_exists dir && Sys.is_directory dir) then begin
@@ -27,7 +28,7 @@ let main json trace metrics dir =
           let t0 = Unix.gettimeofday () in
           let entry status =
             {
-              R.item_id = name;
+              Rep.item_id = name;
               status;
               time = Unix.gettimeofday () -. t0;
               n_candidates = 0;
@@ -55,14 +56,14 @@ let main json trace metrics dir =
                   Fmt.pf ppf "wrote %s@." path;
                   (* a written model is a passed item; the verdict slot is
                      vacuous for catgen, recorded as Allow *)
-                  entry (R.Pass Exec.Check.Allow)
+                  entry (Rep.Pass Exec.Check.Allow)
               | exception Sys_error msg ->
                   Fmt.epr "catgen: cannot write %s: %s@." path msg;
-                  entry (R.Err { R.cls = R.Internal; msg; line = None }))
+                  entry (Rep.Err { Rep.cls = Rep.Internal; msg; line = None }))
           | exception exn ->
               let e = R.classify_exn exn in
-              Fmt.epr "catgen: model %s does not parse: %a@." name R.pp_error e;
-              entry (R.Err e))
+              Fmt.epr "catgen: model %s does not parse: %a@." name Rep.pp_error e;
+              entry (Rep.Err e))
         Cat.Stdmodels.all
     in
     let report =

@@ -81,23 +81,23 @@ let main size sample seed_range verdicts outdir timeout max_candidates
       Harness.Pool.run ~config ?journal ?resume ~backend items
     in
     List.iter2
-      (fun (t : Litmus.Ast.t) (e : Harness.Runner.entry) ->
+      (fun (t : Litmus.Ast.t) (e : Harness.Report.entry) ->
         let lk =
-          match e.Harness.Runner.status with
-          | Harness.Runner.Pass v -> Exec.Check.verdict_to_string v
-          | Harness.Runner.Gave_up _ -> "Unknown"
-          | Harness.Runner.Err { cls; _ } ->
-              "error:" ^ Harness.Runner.class_to_string cls
-          | Harness.Runner.Fail _ -> "FAIL"
+          match e.Harness.Report.status with
+          | Harness.Report.Pass v -> Exec.Check.verdict_to_string v
+          | Harness.Report.Gave_up _ -> "Unknown"
+          | Harness.Report.Err { cls; _ } ->
+              "error:" ^ Harness.Report.class_to_string cls
+          | Harness.Report.Fail _ -> "FAIL"
         in
         Fmt.pf ppf "%-45s LK:%-6s C11:%s@." t.name lk (c11_column t);
         emit_test t)
-      tests report.Harness.Runner.entries;
-    if report.Harness.Runner.n_gave_up > 0 then
+      tests report.Harness.Report.entries;
+    if report.Harness.Report.n_gave_up > 0 then
       Fmt.pf ppf "%d tests exceeded their budget (Unknown)@."
-        report.Harness.Runner.n_gave_up;
-    if json then print_string (Harness.Runner.to_json report ^ "\n");
-    Harness.Runner.exit_code report
+        report.Harness.Report.n_gave_up;
+    if json then print_string (Harness.Report.to_json report ^ "\n");
+    Harness.Report.exit_code report
   end
   else begin
     let entries = ref [] in
@@ -113,21 +113,21 @@ let main size sample seed_range verdicts outdir timeout max_candidates
            let status =
              match lk with
              | Exec.Check.Unknown (Exec.Check.Budget_exceeded reason) ->
-                 Harness.Runner.Gave_up reason
+                 Harness.Report.Gave_up reason
              | Exec.Check.Unknown (Exec.Check.Model_error exn) ->
-                 Harness.Runner.Err (Harness.Runner.classify_exn exn)
+                 Harness.Report.Err (Harness.Runner.classify_exn exn)
              | Exec.Check.Unknown (Exec.Check.Crashed s) ->
-                 Harness.Runner.Err
+                 Harness.Report.Err
                    {
-                     Harness.Runner.cls = Harness.Runner.Crash s;
+                     Harness.Report.cls = Harness.Report.Crash s;
                      msg = "worker crashed";
                      line = None;
                    }
-             | v -> Harness.Runner.Pass v
+             | v -> Harness.Report.Pass v
            in
            entries :=
              {
-               Harness.Runner.item_id = t.name;
+               Harness.Report.item_id = t.name;
                status;
                time = Unix.gettimeofday () -. t0;
                n_candidates = r.Exec.Check.n_candidates;

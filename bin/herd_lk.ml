@@ -71,30 +71,30 @@ let check_names_of_name name =
 
 (* Per-entry console output, preserving the classic verdict line for
    completed checks. *)
-let print_entry model_name outcomes (e : Harness.Runner.entry) =
-  (match (e.Harness.Runner.status, e.Harness.Runner.result) with
-  | Harness.Runner.Pass v, Some r ->
+let print_entry model_name outcomes (e : Harness.Report.entry) =
+  (match (e.Harness.Report.status, e.Harness.Report.result) with
+  | Harness.Report.Pass v, Some r ->
       Fmt.pr "Test %s: %a under %s (%d candidate executions, %d consistent)@."
-        e.Harness.Runner.item_id Exec.Check.pp_verdict v model_name
+        e.Harness.Report.item_id Exec.Check.pp_verdict v model_name
         r.Exec.Check.n_candidates r.Exec.Check.n_consistent
-  | Harness.Runner.Fail { expected; got }, _ ->
+  | Harness.Report.Fail { expected; got }, _ ->
       Fmt.pr "Test %s: FAIL under %s — expected %s, got %s@."
-        e.Harness.Runner.item_id model_name
+        e.Harness.Report.item_id model_name
         (Exec.Check.verdict_to_string expected)
         (Exec.Check.verdict_to_string got)
-  | Harness.Runner.Gave_up reason, _ ->
+  | Harness.Report.Gave_up reason, _ ->
       Fmt.pr "Test %s: Unknown under %s (%s; %d candidates enumerated)@."
-        e.Harness.Runner.item_id model_name
+        e.Harness.Report.item_id model_name
         (Exec.Budget.reason_to_string reason)
-        e.Harness.Runner.n_candidates
-  | Harness.Runner.Err err, _ ->
-      Fmt.pr "Test %s: %a@." e.Harness.Runner.item_id Harness.Runner.pp_error
+        e.Harness.Report.n_candidates
+  | Harness.Report.Err err, _ ->
+      Fmt.pr "Test %s: %a@." e.Harness.Report.item_id Harness.Report.pp_error
         err
-  | Harness.Runner.Pass v, None ->
-      Fmt.pr "Test %s: %a under %s@." e.Harness.Runner.item_id
+  | Harness.Report.Pass v, None ->
+      Fmt.pr "Test %s: %a under %s@." e.Harness.Report.item_id
         Exec.Check.pp_verdict v model_name);
   (if outcomes then
-     match e.Harness.Runner.result with
+     match e.Harness.Report.result with
      | Some r ->
          List.iter
            (fun (o, matches) ->
@@ -102,18 +102,18 @@ let print_entry model_name outcomes (e : Harness.Runner.entry) =
                (if matches then "<- condition" else ""))
            r.Exec.Check.outcomes
      | None -> ());
-  match e.Harness.Runner.result with
+  match e.Harness.Report.result with
   | Some r when r.Exec.Check.explanations <> [] ->
       List.iter
         (fun ex -> Fmt.pr "%s@." (Exec.Explain.to_string ex))
         r.Exec.Check.explanations
   | _ -> ()
 
-let write_dot path (e : Harness.Runner.entry) source =
+let write_dot path (e : Harness.Report.entry) source =
   (* prefer the explained counterexample (with its cycle overlay), then
      the witness, then the first candidate if the test at least parses *)
   let x, explain =
-    match e.Harness.Runner.result with
+    match e.Harness.Report.result with
     | Some { Exec.Check.counterexample = Some x; explanations; _ } ->
         (Some x, explanations)
     | Some { Exec.Check.witness = Some x; _ } -> (Some x, [])
@@ -135,6 +135,7 @@ let write_dot path (e : Harness.Runner.entry) source =
    on and name the checks failing under one but not the other. *)
 let explain_diff ~limits ~backend spec (items : Harness.Runner.item list) =
   let module R = Harness.Runner in
+  let module Rep = Harness.Report in
   let a, b =
     match String.split_on_char ',' spec with
     | [ a; b ] -> (String.trim a, String.trim b)
@@ -151,15 +152,15 @@ let explain_diff ~limits ~backend spec (items : Harness.Runner.item list) =
     List.concat_map
       (fun (i : R.item) ->
         let ea = run a i and eb = run b i in
-        let verdict (e : R.entry) =
-          match e.R.status with
-          | R.Pass v | R.Fail { got = v; _ } -> Exec.Check.verdict_to_string v
-          | R.Gave_up reason ->
+        let verdict (e : Rep.entry) =
+          match e.Rep.status with
+          | Rep.Pass v | Rep.Fail { got = v; _ } -> Exec.Check.verdict_to_string v
+          | Rep.Gave_up reason ->
               "Unknown (" ^ Exec.Budget.reason_to_string reason ^ ")"
-          | R.Err err -> Fmt.str "error (%a)" R.pp_error err
+          | Rep.Err err -> Fmt.str "error (%a)" Rep.pp_error err
         in
-        let failing (e : R.entry) =
-          match e.R.result with
+        let failing (e : Rep.entry) =
+          match e.Rep.result with
           | Some r ->
               List.sort_uniq compare
                 (List.map
@@ -189,14 +190,15 @@ let explain_diff ~limits ~backend spec (items : Harness.Runner.item list) =
         [ ea; eb ])
       items
   in
-  R.summarise ~wall:0. entries
+  Rep.summarise ~wall:0. entries
 
 (* --shrink: minimise every failing or crashing entry to a reproducer
    next to its input ([<id>.min.litmus]).  Crashes are re-checked in an
    isolated worker; mismatches shrink in-process. *)
 let shrink_failures ~limits ~backend ~oracle ~pool_config
-    (report : Harness.Runner.report) (items : Harness.Runner.item list) =
+    (report : Harness.Report.t) (items : Harness.Runner.item list) =
   let module R = Harness.Runner in
+  let module Rep = Harness.Report in
   let module S = Harness.Shrink in
   let repro_path id =
     (if Filename.check_suffix id ".litmus" then
@@ -214,18 +216,18 @@ let shrink_failures ~limits ~backend ~oracle ~pool_config
     with _ -> None
   in
   List.iter2
-    (fun (e : R.entry) (i : R.item) ->
+    (fun (e : Rep.entry) (i : R.item) ->
       let shrinkable =
-        match e.R.status with
-        | R.Fail _ | R.Err { cls = R.Crash _; _ } -> true
+        match e.Rep.status with
+        | Rep.Fail _ | Rep.Err { cls = Rep.Crash _; _ } -> true
         | _ -> false
       in
       match (shrinkable, ast_of i) with
       | false, _ | _, None -> ()
       | true, Some t ->
           let check =
-            match e.R.status with
-            | R.Err { cls = R.Crash _; _ } ->
+            match e.Rep.status with
+            | Rep.Err { cls = Rep.Crash _; _ } ->
                 fun t' ->
                   S.isolated_check ~config:pool_config ~oracle ~backend
                     ?expected:i.R.expected t'
@@ -239,13 +241,13 @@ let shrink_failures ~limits ~backend ~oracle ~pool_config
                     }
           in
           let o = S.shrink_entry ~check e t in
-          let path = repro_path e.R.item_id in
+          let path = repro_path e.Rep.item_id in
           S.write_reproducer path o.S.reduced;
           Fmt.pr "Shrunk %s: size %d -> %d in %d steps (%d oracle runs); \
                   wrote %s@."
-            e.R.item_id o.S.initial_size o.S.final_size o.S.steps
+            e.Rep.item_id o.S.initial_size o.S.final_size o.S.steps
             o.S.oracle_runs path)
-    report.R.entries items
+    report.Rep.entries items
 
 let main model verbose outcomes dot explain explain_diff_spec builtin timeout
     max_candidates max_events json jobs mem_limit journal resume shrink
@@ -284,7 +286,7 @@ let main model verbose outcomes dot explain explain_diff_spec builtin timeout
   else
     match explain_diff_spec with
     | Some spec ->
-        Harness.Runner.exit_code (explain_diff ~limits ~backend spec items)
+        Harness.Report.exit_code (explain_diff ~limits ~backend spec items)
     | None ->
   begin
     let pool_config =
@@ -309,7 +311,7 @@ let main model verbose outcomes dot explain explain_diff_spec builtin timeout
     in
     if shrink then
       shrink_failures ~limits ~backend ~oracle ~pool_config report items;
-    if json then print_string (Harness.Runner.to_json report ^ "\n")
+    if json then print_string (Harness.Report.to_json report ^ "\n")
     else begin
       let sources =
         List.map
@@ -321,19 +323,19 @@ let main model verbose outcomes dot explain explain_diff_spec builtin timeout
           items
       in
       List.iter2
-        (fun (e : Harness.Runner.entry) source ->
+        (fun (e : Harness.Report.entry) source ->
           print_entry mname outcomes e;
           (if verbose && mname = "LK" then
-             match e.Harness.Runner.result with
+             match e.Harness.Report.result with
              | Some _ -> (
                  try Fmt.pr "%a@." Lkmm.Explain.pp_test_verdict (Litmus.parse source)
                  with _ -> ())
              | None -> ());
           match dot with Some p -> write_dot p e source | None -> ())
-        report.Harness.Runner.entries sources;
-      if List.length items > 1 then Fmt.pr "%a@." Harness.Runner.pp report
+        report.Harness.Report.entries sources;
+      if List.length items > 1 then Fmt.pr "%a@." Harness.Report.pp report
     end;
-    Harness.Runner.exit_code report
+    Harness.Report.exit_code report
   end
 
 let model_arg =

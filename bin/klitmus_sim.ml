@@ -68,6 +68,7 @@ let main archs runs seed check stable timeout max_candidates journal resume
     json backend trace metrics files builtin =
   Harness.Cli.with_obs ~trace ~metrics @@ fun () ->
   let module R = Harness.Runner in
+  let module Rep = Harness.Report in
   let module J = Harness.Journal in
   (* with --json, stdout carries the report; progress moves to stderr *)
   let ppf = if json then Fmt.stderr else Fmt.stdout in
@@ -91,21 +92,21 @@ let main archs runs seed check stable timeout max_candidates journal resume
   (match resume with
   | Some p ->
       List.iter
-        (fun (e : R.entry) -> Hashtbl.replace recycled e.R.item_id e)
+        (fun (e : Rep.entry) -> Hashtbl.replace recycled e.Rep.item_id e)
         (J.load p)
   | None -> ());
   let writer = Option.map J.open_writer journal in
   let t_start = Unix.gettimeofday () in
   let entries = ref [] in
-  let add (e : R.entry) =
+  let add (e : Rep.entry) =
     entries := e :: !entries;
     Option.iter (fun w -> J.write w e) writer
   in
   let run_test id test =
     match Hashtbl.find_opt recycled id with
     | Some e ->
-        Fmt.pf ppf "Test %s: recycled from journal (%a)@." id R.pp_status
-          e.R.status;
+        Fmt.pf ppf "Test %s: recycled from journal (%a)@." id Rep.pp_status
+          e.Rep.status;
         entries := e :: !entries
     | None ->
         let t0 = Unix.gettimeofday () in
@@ -117,15 +118,15 @@ let main archs runs seed check stable timeout max_candidates journal resume
            unsound = disagreement (fail), budget = gave up, else done *)
         let status =
           if e > 0 then
-            R.Fail { expected = Exec.Check.Forbid; got = Exec.Check.Allow }
+            Rep.Fail { expected = Exec.Check.Forbid; got = Exec.Check.Allow }
           else
             match reason with
-            | Some r when b > 0 -> R.Gave_up r
-            | _ -> R.Pass Exec.Check.Allow
+            | Some r when b > 0 -> Rep.Gave_up r
+            | _ -> Rep.Pass Exec.Check.Allow
         in
         add
           {
-            R.item_id = id;
+            Rep.item_id = id;
             status;
             time = Unix.gettimeofday () -. t0;
             n_candidates = 0;
@@ -148,14 +149,14 @@ let main archs runs seed check stable timeout max_candidates journal resume
           let err = Harness.Runner.classify_exn exn in
           add
             {
-              R.item_id = path;
-              status = R.Err err;
+              Rep.item_id = path;
+              status = Rep.Err err;
               time = 0.;
               n_candidates = 0;
               retried = false;
               result = None;
             };
-          Fmt.epr "klitmus_sim: %s: %a@." path Harness.Runner.pp_error err)
+          Fmt.epr "klitmus_sim: %s: %a@." path Harness.Report.pp_error err)
     files;
   Option.iter J.close writer;
   if files = [] && builtin = None then

@@ -284,11 +284,9 @@ let main socket workers queue default_timeout wedge_grace cache_journal fsync
               default_timeout;
               max_line;
               wedge_grace;
-              max_replacements = 32;
               cache_journal;
               fsync;
               chaos_ops;
-              retries = 1;
               backoff = 0.05;
               backend;
               flight_dir;

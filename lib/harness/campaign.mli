@@ -13,9 +13,10 @@
     resumed campaign's mined report is byte-identical to an
     uninterrupted run's.
 
-    Failure ladder: full budget, then one reduced-budget retry, then
-    bisection down to the poison seed, whose singleton shard is
-    quarantined after two strikes — reported, never dropped. *)
+    Shard workers run through {!Supervisor}; its ladder, over the
+    strikes the manifest keeps: full budget, then one reduced-budget
+    retry, then bisection down to the poison seed, whose singleton shard
+    is quarantined after two strikes — reported, never dropped. *)
 
 type config = {
   dir : string;  (** manifest, shard journals and report live here *)
@@ -40,7 +41,7 @@ type config = {
   wedge : int list;  (** chaos hook: worker hangs at these seeds *)
   flight : bool;
       (** arm the crash flight recorder in every forked worker
-          ({!Obs.flight_start} on [dir/flight-<pid>.jsonl]): each seed
+          ({!Supervisor.arm_flight} on [dir/flight-<pid>.jsonl]): each seed
           opens a [campaign.seed] span and forces a checkpoint, so a
           poisoned, wedged or crashed worker leaves a post-mortem
           naming the victim seed ([obs_report --postmortem]) *)

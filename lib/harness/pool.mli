@@ -1,14 +1,16 @@
 (** Process-isolated parallel checking: one forked worker per item, up
-    to [jobs] concurrently.  {!Runner.run_item}'s fault barrier is
-    cooperative; the pool contains what it cannot — segfaults, runaway
-    allocation, genuine hangs:
+    to [jobs] concurrently, run through {!Supervisor}.
+    {!Runner.run_item}'s fault barrier is cooperative; the pool
+    contains what it cannot — segfaults, runaway allocation, genuine
+    hangs:
 
-    - a hard watchdog [SIGKILL]s any worker outliving its deadline (the
-      cooperative timeout plus slack), classified as [Gave_up];
+    - a hard watchdog [SIGKILL]s any worker outliving twice the
+      budget's timeout plus a second (none without a timeout),
+      classified as [Gave_up];
     - a [Gc]-alarm heap cap in the worker turns runaway allocation into
       a classified entry before the kernel's OOM killer is involved;
     - a worker dying on a signal is reaped as [Err {cls = Crash _}] and
-      retried with exponential backoff (the retry marked [retried]);
+      retried once after [backoff] (the retry marked [retried]);
     - with a journal, entries are appended and flushed as they arrive;
       resuming recycles journalled items without re-running them;
     - SIGTERM/SIGINT mid-run trigger a graceful drain: dispatching
@@ -33,29 +35,18 @@ type config = {
   jobs : int;  (** concurrent workers (>= 1) *)
   limits : Exec.Budget.limits;  (** per-item cooperative budget *)
   mem_limit_mb : int option;  (** hard heap cap enforced in the worker *)
-  watchdog : float option;
-      (** hard wall-clock kill, seconds; [None] = derive from the budget
-          timeout (2x + 1s), unlimited if the budget has no timeout *)
-  retries : int;  (** attempts after a crash (default 1) *)
-  backoff : float;  (** seconds before the first crash retry, doubling *)
+  backoff : float;  (** seconds before a crashed item's retry *)
   lint : bool;
   flight_dir : string option;
       (** arm the crash flight recorder in every forked worker
-          ({!Obs.flight_start} on [<dir>/flight-<pid>.jsonl]): a
+          ({!Supervisor.arm_flight}, on [<dir>/flight-<pid>.jsonl]): a
           watchdog SIGKILL forfeits the result-pipe {!Obs.dump}, but
           the worker's last checkpoint — written at item start —
           survives as a post-mortem ([obs_report --postmortem]) *)
 }
 
 val default : config
-(** 2 jobs, default budget, no heap cap, derived watchdog, one retry. *)
-
-(** Worker exit codes above the user range (the parent maps them back
-    to classified entries when the result pipe carries nothing usable);
-    exposed for tests that inject misbehaving workers. *)
-
-val exit_mem_cap : int
-val exit_protocol : int
+(** 2 jobs, default budget, no heap cap, 50 ms crash backoff. *)
 
 val run :
   ?config:config ->

@@ -9,30 +9,13 @@
 
    The result types — error taxonomy, per-item entries, batch reports,
    their JSON rendering and the exit-code policy — live in {!Report}
-   (the unified schema shared with {!Pool} and {!Journal}); they are
-   re-exported here by equation, so [Runner.entry] and [Report.entry]
-   are interchangeable and pre-existing callers compile unchanged. *)
+   (the unified schema shared with {!Pool} and {!Journal}). *)
+
+open Report
 
 (* ------------------------------------------------------------------ *)
-(* Error taxonomy (defined in Report, re-exported)                     *)
+(* Error taxonomy                                                      *)
 (* ------------------------------------------------------------------ *)
-
-type error_class = Report.error_class =
-  | Parse
-  | Lex
-  | Type
-  | Lint
-  | Budget
-  | Internal
-  | Crash of int (* worker died on this signal (process isolation only) *)
-
-let class_to_string = Report.class_to_string
-
-type error_info = Report.error_info = {
-  cls : error_class;
-  msg : string;
-  line : int option;
-}
 
 let classify_exn : exn -> error_info = function
   | Litmus.Parser.Error (msg, line) -> { cls = Parse; msg; line = Some line }
@@ -46,8 +29,6 @@ let classify_exn : exn -> error_info = function
   | Stack_overflow -> { cls = Internal; msg = "stack overflow"; line = None }
   | Not_found -> { cls = Internal; msg = "not found"; line = None }
   | exn -> { cls = Internal; msg = Printexc.to_string exn; line = None }
-
-let pp_error = Report.pp_error
 
 (* ------------------------------------------------------------------ *)
 (* Items and statuses                                                  *)
@@ -63,33 +44,6 @@ type item = {
   source : source;
   expected : Exec.Check.verdict option; (* golden verdict, if any *)
 }
-
-type status = Report.status =
-  | Pass of Exec.Check.verdict
-  | Fail of { expected : Exec.Check.verdict; got : Exec.Check.verdict }
-  | Gave_up of Exec.Budget.reason
-  | Err of error_info
-
-type entry = Report.entry = {
-  item_id : string;
-  status : status;
-  time : float;
-  n_candidates : int;
-  retried : bool;
-  result : Exec.Check.result option;
-}
-
-type report = Report.t = {
-  entries : entry list;
-  n_pass : int;
-  n_fail : int;
-  n_error : int;
-  n_crash : int;
-  n_gave_up : int;
-  wall : float;
-}
-
-let is_crash = Report.is_crash
 
 let of_battery (entries : Battery.entry list) =
   List.map
@@ -181,24 +135,9 @@ let run_item ?(limits = Exec.Budget.default) ?deadline ?(lint = true) ?explainer
 (* Batches                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let summarise = Report.summarise
-
 let run ?limits ?lint ?explainer ?backend ?oracle (items : item list) =
   let t0 = Unix.gettimeofday () in
   let entries =
     List.map (run_item ?limits ?lint ?explainer ?backend ?oracle) items
   in
-  summarise ~wall:(Unix.gettimeofday () -. t0) entries
-
-let exit_code = Report.exit_code
-
-(* ------------------------------------------------------------------ *)
-(* Rendering (all in Report; kept under the old names)                 *)
-(* ------------------------------------------------------------------ *)
-
-let pp_status = Report.pp_status
-let pp_entry = Report.pp_entry
-let pp = Report.pp
-let schema_version = Report.schema_version
-let entry_to_json = Report.entry_to_json
-let to_json = Report.to_json
+  Report.summarise ~wall:(Unix.gettimeofday () -. t0) entries

@@ -30,11 +30,11 @@
      bounded; a daemon that exhausts them runs degraded rather than
      looping.
 
-   - {b Retry and quarantine.}  A request in flight on a lost worker is
-     retried once after an exponential backoff.  A request that costs
-     two workers is poison: it is answered [quarantined], and any
-     future request with the same fingerprint (cache key) is rejected
-     at admission without touching a worker.
+   - {b Retry and quarantine.}  A worker loss is a strike against the
+     request's fingerprint (cache key) on {!Supervisor}'s ladder: the
+     first retries the request after the backoff; the second answers
+     it [quarantined], and any future request with the same
+     fingerprint is rejected at admission without touching a worker.
 
    - {b Verdict cache.}  Deterministic verdicts are cached
      content-addressed ({!Vcache}: digest of model identity and test
@@ -57,12 +57,10 @@ type config = {
   default_timeout : float; (* seconds; request deadline when client gives none *)
   max_line : int; (* bytes; longer request lines are rejected *)
   wedge_grace : float; (* seconds past deadline before a worker is abandoned *)
-  max_replacements : int;
   cache_journal : string option;
   fsync : bool;
   chaos_ops : bool; (* accept chaos_kill / chaos_wedge *)
-  retries : int; (* retries after a worker loss *)
-  backoff : float; (* seconds before the first retry, doubling *)
+  backoff : float; (* seconds before a lost request's retry *)
   backend : Exec.Check.backend;
       (* checking engine for every job: [Enum] is the scalar reference
          evaluation *)
@@ -82,16 +80,17 @@ let default =
     default_timeout = 10.;
     max_line = 1 lsl 20;
     wedge_grace = 2.0;
-    max_replacements = 32;
     cache_journal = None;
     fsync = false;
     chaos_ops = false;
-    retries = 1;
     backoff = 0.05;
     backend = Exec.Check.Batch;
     flight_dir = None;
     flight_interval = 0.5;
   }
+
+(* lifetime bound on replacement domains *)
+let max_replacements = 32
 
 (* ------------------------------------------------------------------ *)
 (* Models                                                              *)
@@ -178,7 +177,7 @@ type t = {
   slots : slot array;
   mutable completed : (job * outcome) list;
   mutable replacements : int;
-  strikes : (string, int) Hashtbl.t; (* vkey -> worker losses *)
+  strikes : string Supervisor.Strikes.t; (* vkey -> worker losses *)
   mutable gated : (float * job) list; (* backoff: ready-at, job *)
   conns : (int, conn) Hashtbl.t;
   wake_r : Unix.file_descr;
@@ -403,37 +402,26 @@ let respond_entry p job ?(cache = false) entry =
 (* Supervision: losses, retries, quarantine, replacement               *)
 (* ------------------------------------------------------------------ *)
 
-let quarantined p vkey =
-  match Hashtbl.find_opt p.strikes vkey with Some s -> s >= 2 | None -> false
+let quarantined p vkey = Supervisor.Strikes.given_up p.strikes vkey
 
 let note_loss p now job why =
   job.attempts <- job.attempts + 1;
-  let s = 1 + Option.value ~default:0 (Hashtbl.find_opt p.strikes job.vkey) in
-  Hashtbl.replace p.strikes job.vkey s;
-  if s >= 2 then begin
-    Obs.event ~item:job.trace "serve.quarantine";
-    finish_job_telemetry job;
-    respond p job.conn_id ~cls:Proto.Quarantined
-      (Proto.response_line ~id:job.req_id ~cls:Proto.Quarantined
-         ~trace:job.trace
-         ~msg:(why ^ "; fingerprint quarantined after " ^ string_of_int s
-               ^ " worker losses")
-         ())
-  end
-  else if job.attempts <= p.cfg.retries then begin
-    (* Same job record, same trace id: the retry is one more hop on the
-       request's trace, not a new request. *)
-    Obs.event ~item:job.trace "serve.retry";
-    let delay = p.cfg.backoff *. (2. ** float_of_int (job.attempts - 1)) in
-    p.gated <- (now +. delay, job) :: p.gated
-  end
-  else begin
-    Obs.event ~item:job.trace "serve.drop";
-    finish_job_telemetry job;
-    respond p job.conn_id ~cls:Proto.Error
-      (Proto.response_line ~id:job.req_id ~cls:Proto.Error ~trace:job.trace
-         ~msg:(why ^ "; no retries left") ())
-  end
+  let s = Supervisor.Strikes.add p.strikes job.vkey in
+  match Supervisor.decide ~backoff:p.cfg.backoff s with
+  | Supervisor.Retry delay ->
+      (* Same job record, same trace id: the retry is one more hop on
+         the request's trace, not a new request. *)
+      Obs.event ~item:job.trace "serve.retry";
+      p.gated <- (now +. delay, job) :: p.gated
+  | Supervisor.Give_up ->
+      Obs.event ~item:job.trace "serve.quarantine";
+      finish_job_telemetry job;
+      respond p job.conn_id ~cls:Proto.Quarantined
+        (Proto.response_line ~id:job.req_id ~cls:Proto.Quarantined
+           ~trace:job.trace
+           ~msg:(why ^ "; fingerprint quarantined after " ^ string_of_int s
+                 ^ " worker losses")
+           ())
 
 (* One supervisor pass: abandon wedged workers, replace dead slots,
    promote backoff-gated retries whose time has come. *)
@@ -453,7 +441,7 @@ let supervise p now =
                 slot.alive <- false;
                 losses := (job, "worker wedged past deadline") :: !losses
             | _ -> ());
-            if (not slot.alive) && p.replacements < p.cfg.max_replacements
+            if (not slot.alive) && p.replacements < max_replacements
                && not p.stopping
             then begin
               p.replacements <- p.replacements + 1;
@@ -545,8 +533,7 @@ let snapshot p =
     n_busy;
     n_queued;
     n_gated;
-    n_quarantined =
-      Hashtbl.fold (fun _ s n -> if s >= 2 then n + 1 else n) p.strikes 0;
+    n_quarantined = Supervisor.Strikes.n_given_up p.strikes;
     served_json =
       String.concat ", "
         (List.map2
@@ -820,7 +807,7 @@ let create cfg =
           { sid; epoch = 0; busy = None; alive = false });
     completed = [];
     replacements = 0;
-    strikes = Hashtbl.create 16;
+    strikes = Supervisor.Strikes.create ();
     gated = [];
     conns = Hashtbl.create 16;
     wake_r;
@@ -834,15 +821,9 @@ let run ?(config = default) () =
   (* The collector is NOT force-enabled here: tracing is the caller's
      choice (lkserve honours the shared --trace/--metrics flags).  An
      armed flight recorder needs the span ring, so it implies it. *)
-  (match config.flight_dir with
-  | Some dir ->
-      if not (Obs.enabled ()) then Obs.set_enabled true;
-      (try Unix.mkdir dir 0o755 with Unix.Unix_error _ -> ());
-      Obs.flight_start
-        ~interval_us:(config.flight_interval *. 1e6)
-        (Filename.concat dir
-           (Printf.sprintf "flight-%d.jsonl" (Unix.getpid ())))
-  | None -> ());
+  Option.iter
+    (Supervisor.arm_flight ~interval_us:(config.flight_interval *. 1e6))
+    config.flight_dir;
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let p = create config in
   warmup p;

@@ -34,19 +34,17 @@ type config = {
   max_line : int;  (** request lines over this many bytes are rejected *)
   wedge_grace : float;
       (** seconds past its job's deadline before a worker is abandoned *)
-  max_replacements : int;  (** lifetime bound on replacement domains *)
   cache_journal : string option;  (** verdict-cache persistence path *)
   fsync : bool;  (** fsync each cache insertion ({!Journal}) *)
   chaos_ops : bool;  (** accept [chaos_kill]/[chaos_wedge] requests *)
-  retries : int;  (** retries for a request that lost its worker *)
-  backoff : float;  (** seconds before the first retry, doubling *)
+  backoff : float;  (** seconds before a lost request's retry *)
   backend : Exec.Check.backend;
       (** checking engine for every job ({!Exec.Oracle.run}): [Batch]
           by default; [Enum] is the scalar reference evaluation (the
           CLI's [--backend enum]); [Sat] the symbolic
           engine, falling back counted where a model ships none *)
   flight_dir : string option;
-      (** arm the crash flight recorder ({!Obs.flight_start}): periodic
+      (** arm the crash flight recorder ({!Supervisor.arm_flight}): periodic
           and per-job checkpoints land in [<dir>/flight-<pid>.jsonl],
           so a [kill -9], wedge or quarantine leaves a post-mortem
           ([obs_report --postmortem]); implies enabling the collector *)

@@ -200,14 +200,14 @@ let minimise ?(max_steps = 10_000) ~oracle (t : Ast.t) =
    preserves the fingerprint, so a segfault cannot "shrink" into a
    parse error and a Forbid-instead-of-Allow cannot drift into a
    different mismatch. *)
-let fingerprint (e : Runner.entry) =
-  match e.Runner.status with
-  | Runner.Pass v -> "pass:" ^ Exec.Check.verdict_to_string v
-  | Runner.Fail { expected; got } ->
+let fingerprint (e : Report.entry) =
+  match e.Report.status with
+  | Report.Pass v -> "pass:" ^ Exec.Check.verdict_to_string v
+  | Report.Fail { expected; got } ->
       Printf.sprintf "fail:%s->%s"
         (Exec.Check.verdict_to_string expected)
         (Exec.Check.verdict_to_string got)
-  | Runner.Gave_up r -> (
+  | Report.Gave_up r -> (
       "gave_up:"
       ^
       match r with
@@ -215,30 +215,30 @@ let fingerprint (e : Runner.entry) =
       | Exec.Budget.Too_many_events _ -> "events"
       | Exec.Budget.Too_many_candidates _ -> "candidates"
       | Exec.Budget.Heap_exceeded _ -> "heap")
-  | Runner.Err { cls = Runner.Crash s; _ } ->
+  | Report.Err { cls = Report.Crash s; _ } ->
       "crash:" ^ Exec.Check.signal_name s
-  | Runner.Err { cls; _ } -> "error:" ^ Runner.class_to_string cls
+  | Report.Err { cls; _ } -> "error:" ^ Report.class_to_string cls
 
 (* One isolated check: a single-item pool run (own process, watchdog,
    heap cap), returning that item's entry.  This is the [check] to
    build oracles from when the failure can kill its process. *)
 let isolated_check ?(config = Pool.default) ?worker ?(oracle = Lkmm.oracle)
     ?backend ?(expected : Exec.Check.verdict option) (t : Ast.t) =
-  let config = { config with Pool.jobs = 1; retries = 0 } in
+  let config = { config with Pool.jobs = 1 } in
   let item = { Runner.id = t.Ast.name; source = `Ast t; expected } in
   let report = Pool.run ~config ?worker ?backend ~oracle [ item ] in
-  List.hd report.Runner.entries
+  List.hd report.Report.entries
 
 (* [entry_oracle ~check base] — the canonical oracle: [t'] trips iff
    its entry carries the same fingerprint as the original failure. *)
-let entry_oracle ~(check : Ast.t -> Runner.entry) (base : Runner.entry) =
+let entry_oracle ~(check : Ast.t -> Report.entry) (base : Report.entry) =
   let want = fingerprint base in
   fun t' -> String.equal (fingerprint (check t')) want
 
 (* End-to-end: given a failing entry and its test, produce the minimal
    reproducer still tripping the same fingerprint. *)
-let shrink_entry ?max_steps ~(check : Ast.t -> Runner.entry)
-    (base : Runner.entry) (t : Ast.t) =
+let shrink_entry ?max_steps ~(check : Ast.t -> Report.entry)
+    (base : Report.entry) (t : Ast.t) =
   minimise ?max_steps ~oracle:(entry_oracle ~check base) t
 
 (* Write a reproducer next to a report: [path] is the destination

@@ -91,8 +91,8 @@ let by_status = Hashtbl.create 16
 
 let record k = Hashtbl.replace by_status k (1 + try Hashtbl.find by_status k with Not_found -> 0)
 
-let note_explained (e : Harness.Runner.entry) =
-  match e.Harness.Runner.result with
+let note_explained (e : Harness.Report.entry) =
+  match e.Harness.Report.result with
   | Some r when r.Exec.Check.explanations <> [] -> incr explained
   | _ -> ()
 
@@ -108,11 +108,11 @@ let run_litmus_mutant src =
   | e ->
       note_explained e;
       record
-        (match e.Harness.Runner.status with
-        | Harness.Runner.Pass _ -> "pass"
-        | Harness.Runner.Fail _ -> "fail"
-        | Harness.Runner.Gave_up _ -> "gave-up"
-        | Harness.Runner.Err i -> Harness.Runner.class_to_string i.cls)
+        (match e.Harness.Report.status with
+        | Harness.Report.Pass _ -> "pass"
+        | Harness.Report.Fail _ -> "fail"
+        | Harness.Report.Gave_up _ -> "gave-up"
+        | Harness.Report.Err i -> Harness.Report.class_to_string i.cls)
   | exception exn ->
       incr escaped;
       Printf.eprintf "ESCAPED (litmus runner): %s\ninput:\n%s\n"
@@ -144,11 +144,11 @@ let run_cat_mutant src =
       | e ->
           note_explained e;
           record
-            (match e.Harness.Runner.status with
-            | Harness.Runner.Err i ->
-                (if i.cls = Harness.Runner.Internal then
+            (match e.Harness.Report.status with
+            | Harness.Report.Err i ->
+                (if i.cls = Harness.Report.Internal then
                    Printf.eprintf "INTERNAL: %s\n" i.msg);
-                "cat-" ^ Harness.Runner.class_to_string i.cls
+                "cat-" ^ Harness.Report.class_to_string i.cls
             | _ -> "cat-runs")
       | exception exn ->
           incr escaped;

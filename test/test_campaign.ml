@@ -265,6 +265,31 @@ let test_wedge_lease_expiry () =
       | _ -> Alcotest.fail "expected exactly one quarantined shard"));
   rm_rf dir
 
+(* The orchestrator reaps only its own workers: a child the caller
+   forked before the run, exiting while the campaign is in flight,
+   keeps its exit status for the caller's own waitpid. *)
+let test_foreign_child_untouched () =
+  let dir = tmpdir () in
+  flush stdout;
+  flush stderr;
+  let pid =
+    match Unix.fork () with
+    | 0 ->
+        Unix.sleepf 0.05;
+        Unix._exit 7
+    | pid -> pid
+  in
+  ignore
+    (run_json
+       (config ~seeds:(0, 3000) ~shard:500 ~jobs:2 ~models:[ "lk" ] dir));
+  (match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 7 -> ()
+  | _, _ -> Alcotest.fail "the caller's child ended otherwise"
+  | exception Unix.Unix_error (e, _, _) ->
+      Alcotest.failf "the campaign reaped the caller's child: %s"
+        (Unix.error_message e));
+  rm_rf dir
+
 (* ------------------------------------------------------------------ *)
 (* Disagreement analysis                                               *)
 (* ------------------------------------------------------------------ *)
@@ -366,6 +391,8 @@ let () =
             test_poison_quarantine;
           Alcotest.test_case "wedge trips the lease" `Slow
             test_wedge_lease_expiry;
+          Alcotest.test_case "caller's children untouched" `Quick
+            test_foreign_child_untouched;
         ] );
       ( "mining",
         [ Alcotest.test_case "disagreement kinds" `Quick test_kinds ] );

@@ -28,16 +28,16 @@ let verdict_of_manifest file = function
   | "Forbid" -> Exec.Check.Forbid
   | other -> Alcotest.failf "%s: bad manifest verdict %S" file other
 
-let check_report label (report : Harness.Runner.report) =
+let check_report label (report : Harness.Report.t) =
   List.iter
-    (fun (e : Harness.Runner.entry) ->
-      match e.Harness.Runner.status with
-      | Harness.Runner.Pass _ -> ()
+    (fun (e : Harness.Report.entry) ->
+      match e.Harness.Report.status with
+      | Harness.Report.Pass _ -> ()
       | status ->
-          Alcotest.failf "%s: %s: %s" label e.Harness.Runner.item_id
-            (Fmt.str "%a" Harness.Runner.pp_status status))
-    report.Harness.Runner.entries;
-  Alcotest.(check int) (label ^ " exit code") 0 (Harness.Runner.exit_code report)
+          Alcotest.failf "%s: %s: %s" label e.Harness.Report.item_id
+            (Fmt.str "%a" Harness.Report.pp_status status))
+    report.Harness.Report.entries;
+  Alcotest.(check int) (label ^ " exit code") 0 (Harness.Report.exit_code report)
 
 let test_corpus () =
   match corpus_dir with

@@ -93,6 +93,12 @@ let test_rcu_study_runs () =
   Alcotest.(check int) "no forbidden outcomes" 0 r.Harness.Rcu_study.matched;
   Alcotest.(check bool) "runs completed" true (r.Harness.Rcu_study.total > 0)
 
+(* Theorem 2 empirically: no faithful Figure 15 run, on any study test
+   and architecture, shows the RCU-forbidden outcome. *)
+let test_rcu_study_theorem2 () =
+  Alcotest.(check (list string)) "no issues" []
+    (Harness.Rcu_study.issues (Harness.Rcu_study.run_all ~runs:300 ()))
+
 let test_rcu_study_issue_detection () =
   let fake =
     {
@@ -114,6 +120,8 @@ let test_rcu_study_issue_detection () =
 (* ------------------------------------------------------------------ *)
 
 module R = Harness.Runner
+
+module Rep = Harness.Report
 module B = Exec.Budget
 
 let item id source expected = { R.id; source = `Text source; expected }
@@ -128,29 +136,29 @@ let test_runner_statuses () =
         item "parse-err" "C broken\n{ x=0;\nP0(int *x" None;
       ]
   in
-  Alcotest.(check int) "n_pass" 1 report.R.n_pass;
-  Alcotest.(check int) "n_fail" 1 report.R.n_fail;
-  Alcotest.(check int) "n_error" 1 report.R.n_error;
-  Alcotest.(check int) "n_gave_up" 0 report.R.n_gave_up;
+  Alcotest.(check int) "n_pass" 1 report.Rep.n_pass;
+  Alcotest.(check int) "n_fail" 1 report.Rep.n_fail;
+  Alcotest.(check int) "n_error" 1 report.Rep.n_error;
+  Alcotest.(check int) "n_gave_up" 0 report.Rep.n_gave_up;
   List.iter2
-    (fun id (e : R.entry) ->
-      Alcotest.(check string) "order preserved" id e.R.item_id)
+    (fun id (e : Rep.entry) ->
+      Alcotest.(check string) "order preserved" id e.Rep.item_id)
     [ "pass"; "fail"; "parse-err" ]
-    report.R.entries;
-  (match (List.nth report.R.entries 2).R.status with
-  | R.Err { cls = R.Parse; line = Some _; _ } -> ()
-  | s -> Alcotest.failf "expected parse error: %s" (Fmt.str "%a" R.pp_status s));
+    report.Rep.entries;
+  (match (List.nth report.Rep.entries 2).Rep.status with
+  | Rep.Err { cls = Rep.Parse; line = Some _; _ } -> ()
+  | s -> Alcotest.failf "expected parse error: %s" (Fmt.str "%a" Rep.pp_status s));
   (* error beats fail in the exit code *)
-  Alcotest.(check int) "exit code" 2 (R.exit_code report)
+  Alcotest.(check int) "exit code" 2 (Rep.exit_code report)
 
 let test_runner_gave_up () =
   let limits = B.limits ~max_candidates:1 () in
   let report = R.run ~limits [ item "boom" (src "SB") None ] in
-  Alcotest.(check int) "n_gave_up" 1 report.R.n_gave_up;
-  (match (List.hd report.R.entries).R.status with
-  | R.Gave_up (B.Too_many_candidates _) -> ()
-  | s -> Alcotest.failf "expected gave-up: %s" (Fmt.str "%a" R.pp_status s));
-  Alcotest.(check int) "exit code 3" 3 (R.exit_code report)
+  Alcotest.(check int) "n_gave_up" 1 report.Rep.n_gave_up;
+  (match (List.hd report.Rep.entries).Rep.status with
+  | Rep.Gave_up (B.Too_many_candidates _) -> ()
+  | s -> Alcotest.failf "expected gave-up: %s" (Fmt.str "%a" Rep.pp_status s));
+  Alcotest.(check int) "exit code 3" 3 (Rep.exit_code report)
 
 let test_runner_exit_precedence () =
   let limits = B.limits ~max_candidates:1 () in
@@ -160,21 +168,21 @@ let test_runner_exit_precedence () =
       [ item "fail" (src "SB") (Some Exec.Check.Forbid) ]
   in
   let r2 = R.run ~limits [ item "boom" (src "SB") None ] in
-  Alcotest.(check int) "fail alone" 1 (R.exit_code r1);
-  Alcotest.(check int) "gave-up alone" 3 (R.exit_code r2);
+  Alcotest.(check int) "fail alone" 1 (Rep.exit_code r1);
+  Alcotest.(check int) "gave-up alone" 3 (Rep.exit_code r2);
   (* precedence over a mixed report: fail beats gave-up *)
   let mixed =
     {
-      R.entries = r1.R.entries @ r2.R.entries;
+      Rep.entries = r1.Rep.entries @ r2.Rep.entries;
       n_pass = 0;
       n_fail = 1;
       n_error = 0;
       n_crash = 0;
       n_gave_up = 1;
-      wall = r1.R.wall +. r2.R.wall;
+      wall = r1.Rep.wall +. r2.Rep.wall;
     }
   in
-  Alcotest.(check int) "fail beats gave-up" 1 (R.exit_code mixed)
+  Alcotest.(check int) "fail beats gave-up" 1 (Rep.exit_code mixed)
 
 let test_runner_lint () =
   (* unbalanced RCU lock is a lint error: classified, not checked *)
@@ -182,19 +190,19 @@ let test_runner_lint () =
     "C lint\n{ x=0; }\nP0(int *x) {\n  rcu_read_lock();\n  WRITE_ONCE(x, 1);\n}\nexists (x=1)"
   in
   let report = R.run [ item "lint" bad None ] in
-  (match (List.hd report.R.entries).R.status with
-  | R.Err { cls = R.Lint; _ } -> ()
-  | s -> Alcotest.failf "expected lint error: %s" (Fmt.str "%a" R.pp_status s));
+  (match (List.hd report.Rep.entries).Rep.status with
+  | Rep.Err { cls = Rep.Lint; _ } -> ()
+  | s -> Alcotest.failf "expected lint error: %s" (Fmt.str "%a" Rep.pp_status s));
   (* with linting off the test checks normally *)
   let report = R.run ~lint:false [ item "lint" bad None ] in
-  Alcotest.(check int) "lint off passes" 1 report.R.n_pass
+  Alcotest.(check int) "lint off passes" 1 report.Rep.n_pass
 
 let test_runner_json () =
   let report =
     R.run
       [ item "ok" (src "SB") None; item "bad" "not a litmus test" None ]
   in
-  let json = R.to_json report in
+  let json = Rep.to_json report in
   let contains sub =
     let n = String.length sub in
     let rec go i =
@@ -232,24 +240,24 @@ let test_runner_acceptance () =
   in
   let report = R.run ~limits items in
   Alcotest.(check int) "all items reported" (List.length items)
-    (List.length report.R.entries);
+    (List.length report.Rep.entries);
   Alcotest.(check int) "nothing crashed the batch" 0
     (List.length
        (List.filter
-          (fun (e : R.entry) ->
-            match e.R.status with
-            | R.Err { cls = R.Internal; _ } -> true
+          (fun (e : Rep.entry) ->
+            match e.Rep.status with
+            | Rep.Err { cls = Rep.Internal; _ } -> true
             | _ -> false)
-          report.R.entries));
+          report.Rep.entries));
   List.iter
-    (fun (e : R.entry) ->
-      Alcotest.(check bool) (e.R.item_id ^ " within 2x budget") true
-        (e.R.time <= 2.0 *. timeout))
-    report.R.entries;
+    (fun (e : Rep.entry) ->
+      Alcotest.(check bool) (e.Rep.item_id ^ " within 2x budget") true
+        (e.Rep.time <= 2.0 *. timeout))
+    report.Rep.entries;
   (* the corrupted file is an Error entry, not a crash *)
-  match (List.nth report.R.entries 3).R.status with
-  | R.Err { cls = R.Parse | R.Lex; _ } -> ()
-  | s -> Alcotest.failf "corrupted file: %s" (Fmt.str "%a" R.pp_status s)
+  match (List.nth report.Rep.entries 3).Rep.status with
+  | Rep.Err { cls = Rep.Parse | Rep.Lex; _ } -> ()
+  | s -> Alcotest.failf "corrupted file: %s" (Fmt.str "%a" Rep.pp_status s)
 
 let () =
   Alcotest.run "harness"
@@ -288,6 +296,8 @@ let () =
       ( "rcu-study",
         [
           Alcotest.test_case "runs" `Quick test_rcu_study_runs;
+          Alcotest.test_case "theorem 2 on every arch" `Quick
+            test_rcu_study_theorem2;
           Alcotest.test_case "issue detection" `Quick
             test_rcu_study_issue_detection;
         ] );

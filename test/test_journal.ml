@@ -4,6 +4,8 @@
    and ending with the same report as an uninterrupted run. *)
 
 module R = Harness.Runner
+
+module Rep = Harness.Report
 module J = Harness.Journal
 module P = Harness.Pool
 module B = Exec.Budget
@@ -15,7 +17,7 @@ let tmpfile () = Filename.temp_file "journal_test" ".jsonl"
 
 let entry ?(retried = false) ?(time = 0.25) ?(candidates = 7) id status =
   {
-    R.item_id = id;
+    Rep.item_id = id;
     status;
     time;
     n_candidates = candidates;
@@ -25,38 +27,38 @@ let entry ?(retried = false) ?(time = 0.25) ?(candidates = 7) id status =
 
 let sample_entries =
   [
-    entry "p" (R.Pass Exec.Check.Allow);
+    entry "p" (Rep.Pass Exec.Check.Allow);
     entry "f"
-      (R.Fail { expected = Exec.Check.Forbid; got = Exec.Check.Allow });
-    entry "g-time" (R.Gave_up (B.Timed_out 2.5));
-    entry "g-events" (R.Gave_up (B.Too_many_events (300, 256)));
-    entry "g-cand" (R.Gave_up (B.Too_many_candidates 1000));
-    entry "g-heap" (R.Gave_up (B.Heap_exceeded 64));
+      (Rep.Fail { expected = Exec.Check.Forbid; got = Exec.Check.Allow });
+    entry "g-time" (Rep.Gave_up (B.Timed_out 2.5));
+    entry "g-events" (Rep.Gave_up (B.Too_many_events (300, 256)));
+    entry "g-cand" (Rep.Gave_up (B.Too_many_candidates 1000));
+    entry "g-heap" (Rep.Gave_up (B.Heap_exceeded 64));
     entry ~retried:true "e-crash"
-      (R.Err { R.cls = R.Crash 11; msg = "worker killed by SIGSEGV"; line = None });
+      (Rep.Err { Rep.cls = Rep.Crash 11; msg = "worker killed by SIGSEGV"; line = None });
     entry "e-parse"
-      (R.Err { R.cls = R.Parse; msg = "syntax error"; line = Some 3 });
+      (Rep.Err { Rep.cls = Rep.Parse; msg = "syntax error"; line = Some 3 });
     entry "e-quote"
-      (R.Err { R.cls = R.Internal; msg = "a \"quoted\"\nmessage"; line = None });
+      (Rep.Err { Rep.cls = Rep.Internal; msg = "a \"quoted\"\nmessage"; line = None });
   ]
 
-let check_entry_eq label (a : R.entry) (b : R.entry) =
-  Alcotest.(check string) (label ^ " id") a.R.item_id b.R.item_id;
-  Alcotest.(check bool) (label ^ " status") true (a.R.status = b.R.status);
-  Alcotest.(check bool) (label ^ " retried") a.R.retried b.R.retried;
-  Alcotest.(check int) (label ^ " candidates") a.R.n_candidates b.R.n_candidates;
+let check_entry_eq label (a : Rep.entry) (b : Rep.entry) =
+  Alcotest.(check string) (label ^ " id") a.Rep.item_id b.Rep.item_id;
+  Alcotest.(check bool) (label ^ " status") true (a.Rep.status = b.Rep.status);
+  Alcotest.(check bool) (label ^ " retried") a.Rep.retried b.Rep.retried;
+  Alcotest.(check int) (label ^ " candidates") a.Rep.n_candidates b.Rep.n_candidates;
   Alcotest.(check bool)
     (label ^ " time")
     true
-    (Float.abs (a.R.time -. b.R.time) < 1e-6)
+    (Float.abs (a.Rep.time -. b.Rep.time) < 1e-6)
 
 let test_round_trip () =
   List.iter
     (fun e ->
       match J.entry_of_line (J.line_of_entry e) with
-      | Some e' -> check_entry_eq e.R.item_id e e'
+      | Some e' -> check_entry_eq e.Rep.item_id e e'
       | None ->
-          Alcotest.failf "%s did not round-trip: %s" e.R.item_id
+          Alcotest.failf "%s did not round-trip: %s" e.Rep.item_id
             (J.line_of_entry e))
     sample_entries
 
@@ -77,7 +79,7 @@ let test_truncated_tail () =
   Sys.remove path;
   Alcotest.(check int) "torn line dropped" 2 (List.length loaded);
   Alcotest.(check (list string)) "surviving ids" [ "p"; "f" ]
-    (List.map (fun (e : R.entry) -> e.R.item_id) loaded)
+    (List.map (fun (e : Rep.entry) -> e.Rep.item_id) loaded)
 
 let test_empty_and_missing () =
   let path = tmpfile () in
@@ -88,22 +90,22 @@ let test_empty_and_missing () =
 
 let test_duplicate_ids_last_wins () =
   let path = tmpfile () in
-  let first = entry "dup" (R.Err { R.cls = R.Crash 11; msg = "x"; line = None }) in
-  let second = entry ~retried:true "dup" (R.Pass Exec.Check.Allow) in
+  let first = entry "dup" (Rep.Err { Rep.cls = Rep.Crash 11; msg = "x"; line = None }) in
+  let second = entry ~retried:true "dup" (Rep.Pass Exec.Check.Allow) in
   write_lines path
     [
       J.line_of_entry first ^ "\n";
-      J.line_of_entry (entry "other" (R.Pass Exec.Check.Forbid)) ^ "\n";
+      J.line_of_entry (entry "other" (Rep.Pass Exec.Check.Forbid)) ^ "\n";
       J.line_of_entry second ^ "\n";
     ];
   let loaded = J.load path in
   Sys.remove path;
   Alcotest.(check int) "two distinct ids" 2 (List.length loaded);
-  let dup = List.find (fun (e : R.entry) -> e.R.item_id = "dup") loaded in
+  let dup = List.find (fun (e : Rep.entry) -> e.Rep.item_id = "dup") loaded in
   check_entry_eq "last occurrence wins" second dup;
   (* order of first occurrence is preserved *)
   Alcotest.(check (list string)) "order" [ "dup"; "other" ]
-    (List.map (fun (e : R.entry) -> e.R.item_id) loaded)
+    (List.map (fun (e : Rep.entry) -> e.Rep.item_id) loaded)
 
 let test_writer_appends () =
   let path = tmpfile () in
@@ -116,7 +118,7 @@ let test_writer_appends () =
   let loaded = J.load path in
   Sys.remove path;
   Alcotest.(check (list string)) "both sessions present" [ "p"; "f" ]
-    (List.map (fun (e : R.entry) -> e.R.item_id) loaded)
+    (List.map (fun (e : Rep.entry) -> e.Rep.item_id) loaded)
 
 let test_fsync_writer () =
   let path = tmpfile () in
@@ -127,8 +129,8 @@ let test_fsync_writer () =
   Sys.remove path;
   Alcotest.(check (list string))
     "all entries durable through the fsync path"
-    (List.map (fun (e : R.entry) -> e.R.item_id) sample_entries)
-    (List.map (fun (e : R.entry) -> e.R.item_id) loaded)
+    (List.map (fun (e : Rep.entry) -> e.Rep.item_id) sample_entries)
+    (List.map (fun (e : Rep.entry) -> e.Rep.item_id) loaded)
 
 (* The recovery property, exhaustively: truncate a journal at *every*
    byte offset.  Whatever the cut, recovery must yield exactly the
@@ -164,8 +166,8 @@ let test_truncate_every_offset () =
     let loaded = J.load path in
     Alcotest.(check (list string))
       (Printf.sprintf "cut at byte %d" cut)
-      (List.map (fun (e : R.entry) -> e.R.item_id) expected)
-      (List.map (fun (e : R.entry) -> e.R.item_id) loaded);
+      (List.map (fun (e : Rep.entry) -> e.Rep.item_id) expected)
+      (List.map (fun (e : Rep.entry) -> e.Rep.item_id) loaded);
     List.iter2 (fun e e' -> check_entry_eq "recovered intact" e e')
       expected loaded
   done;
@@ -258,17 +260,17 @@ let test_resume_after_sigkill () =
   let reference = P.run ~config ~oracle battery_items in
   Alcotest.(check int) "all items reported"
     (List.length battery_items)
-    (List.length resumed.R.entries);
+    (List.length resumed.Rep.entries);
   List.iter2
-    (fun (a : R.entry) (b : R.entry) ->
-      Alcotest.(check string) "same id order" b.R.item_id a.R.item_id;
+    (fun (a : Rep.entry) (b : Rep.entry) ->
+      Alcotest.(check string) "same id order" b.Rep.item_id a.Rep.item_id;
       Alcotest.(check string)
-        (b.R.item_id ^ " same classified outcome")
+        (b.Rep.item_id ^ " same classified outcome")
         (Harness.Shrink.fingerprint b)
         (Harness.Shrink.fingerprint a))
-    resumed.R.entries reference.R.entries;
-  Alcotest.(check int) "same exit code" (R.exit_code reference)
-    (R.exit_code resumed);
+    resumed.Rep.entries reference.Rep.entries;
+  Alcotest.(check int) "same exit code" (Rep.exit_code reference)
+    (Rep.exit_code resumed);
   (* at most one item was lost to the kill: everything journalled
      before the kill was recycled, so the resumed run re-ran exactly
      the missing ones and the journal now covers the whole battery *)

@@ -117,12 +117,12 @@ let run_fixed () =
         };
       ]
   in
-  List.hd report.Harness.Runner.entries
+  List.hd report.Harness.Report.entries
 
 let test_counters_match_result () =
   with_collector @@ fun () ->
   let entry = run_fixed () in
-  let r = Option.get entry.Harness.Runner.result in
+  let r = Option.get entry.Harness.Report.result in
   let counter name =
     match List.assoc_opt name (Obs.counters ()) with Some v -> v | None -> 0
   in
@@ -406,7 +406,7 @@ let test_pool_merges_workers () =
       ~oracle:Lkmm.oracle
       items
   in
-  Alcotest.(check int) "both items pass" 2 report.Harness.Runner.n_pass;
+  Alcotest.(check int) "both items pass" 2 report.Harness.Report.n_pass;
   let spans = Obs.spans () in
   Alcotest.(check bool) "parent pool span present" true
     (List.exists (fun s -> s.Obs.name = "pool") spans);
@@ -432,9 +432,9 @@ let test_pool_merges_workers () =
   in
   let expected =
     List.fold_left
-      (fun acc (e : Harness.Runner.entry) ->
-        acc + e.Harness.Runner.n_candidates)
-      0 report.Harness.Runner.entries
+      (fun acc (e : Harness.Report.entry) ->
+        acc + e.Harness.Report.n_candidates)
+      0 report.Harness.Report.entries
   in
   Alcotest.(check int) "worker candidate counters merged" expected merged
 
@@ -466,7 +466,6 @@ let test_pool_flight_postmortem () =
         {
           Harness.Pool.default with
           Harness.Pool.jobs = 1;
-          retries = 0;
           flight_dir = Some dir;
         }
       in
@@ -475,7 +474,7 @@ let test_pool_flight_postmortem () =
         assert false
       in
       let report = Harness.Pool.run ~config ~worker:crashing items in
-      Alcotest.(check int) "crash classified" 1 report.Harness.Runner.n_crash;
+      Alcotest.(check int) "crash classified" 1 report.Harness.Report.n_crash;
       (* the dead worker left a readable post-mortem naming its item *)
       let victims =
         Sys.readdir dir |> Array.to_list
@@ -496,7 +495,7 @@ let test_report_metrics_object () =
   with_collector @@ fun () ->
   let entry = run_fixed () in
   let report =
-    Harness.Report.summarise ~wall:entry.Harness.Runner.time [ entry ]
+    Harness.Report.summarise ~wall:entry.Harness.Report.time [ entry ]
   in
   let doc = J.of_string (Harness.Report.to_json report) in
   Alcotest.(check (option (float 0.0))) "schema version 4" (Some 4.)

@@ -7,6 +7,8 @@
    fork/SIGKILL/reap machinery with deterministic failures. *)
 
 module R = Harness.Runner
+
+module Rep = Harness.Report
 module P = Harness.Pool
 module J = Harness.Journal
 module B = Exec.Budget
@@ -28,10 +30,10 @@ let misbehaving (it : R.item) =
   | "loop" ->
       (* an allocation-free infinite loop: no budget tick, no Gc alarm;
          only the watchdog can stop it *)
-      let rec spin () : R.entry = spin () in
+      let rec spin () : Rep.entry = spin () in
       spin ()
   | "oom" ->
-      let rec eat acc : R.entry = eat (Bytes.create (1 lsl 20) :: acc) in
+      let rec eat acc : Rep.entry = eat (Bytes.create (1 lsl 20) :: acc) in
       eat []
   | _ -> normal_worker it
 
@@ -39,7 +41,7 @@ let config jobs =
   { P.default with P.jobs; limits; backoff = 0.01 }
 
 let find_entry report id =
-  List.find (fun (e : R.entry) -> e.R.item_id = id) report.R.entries
+  List.find (fun (e : Rep.entry) -> e.Rep.item_id = id) report.Rep.entries
 
 let test_crash_contained () =
   let report =
@@ -52,16 +54,16 @@ let test_crash_contained () =
         item "ok2" (src "MP+wmb+rmb") (Some Exec.Check.Forbid);
       ]
   in
-  Alcotest.(check int) "both healthy items passed" 2 report.R.n_pass;
-  Alcotest.(check int) "one crash" 1 report.R.n_crash;
-  Alcotest.(check int) "no plain errors" 0 report.R.n_error;
-  (match (find_entry report "segv").R.status with
-  | R.Err { cls = R.Crash s; _ } ->
+  Alcotest.(check int) "both healthy items passed" 2 report.Rep.n_pass;
+  Alcotest.(check int) "one crash" 1 report.Rep.n_crash;
+  Alcotest.(check int) "no plain errors" 0 report.Rep.n_error;
+  (match (find_entry report "segv").Rep.status with
+  | Rep.Err { cls = Rep.Crash s; _ } ->
       Alcotest.(check int) "signal recorded" Sys.sigsegv s
-  | s -> Alcotest.failf "expected crash entry: %a" R.pp_status s);
+  | s -> Alcotest.failf "expected crash entry: %a" Rep.pp_status s);
   Alcotest.(check bool) "deterministic crash was retried" true
-    (find_entry report "segv").R.retried;
-  Alcotest.(check int) "crash exit code" 4 (R.exit_code report)
+    (find_entry report "segv").Rep.retried;
+  Alcotest.(check int) "crash exit code" 4 (Rep.exit_code report)
 
 let test_order_preserved () =
   let ids = [ "d"; "c"; "b"; "a" ] in
@@ -70,7 +72,7 @@ let test_order_preserved () =
       (List.map (fun id -> item id (src "SB") None) ids)
   in
   Alcotest.(check (list string)) "entries in item order" ids
-    (List.map (fun (e : R.entry) -> e.R.item_id) report.R.entries)
+    (List.map (fun (e : Rep.entry) -> e.Rep.item_id) report.Rep.entries)
 
 let test_watchdog_kills_loop () =
   let cfg =
@@ -83,11 +85,11 @@ let test_watchdog_kills_loop () =
       [ item "loop" (src "SB") None; item "ok" (src "SB") None ]
   in
   let wall = Unix.gettimeofday () -. t0 in
-  (match (find_entry report "loop").R.status with
-  | R.Gave_up (B.Timed_out _) -> ()
-  | s -> Alcotest.failf "expected watchdog timeout: %a" R.pp_status s);
-  Alcotest.(check int) "healthy item passed" 1 report.R.n_pass;
-  Alcotest.(check int) "budget exit code" 3 (R.exit_code report);
+  (match (find_entry report "loop").Rep.status with
+  | Rep.Gave_up (B.Timed_out _) -> ()
+  | s -> Alcotest.failf "expected watchdog timeout: %a" Rep.pp_status s);
+  Alcotest.(check int) "healthy item passed" 1 report.Rep.n_pass;
+  Alcotest.(check int) "budget exit code" 3 (Rep.exit_code report);
   (* watchdog = 2 * 0.2 + 1 = 1.4s; well under the 5s this would hang
      without the watchdog (the loop never returns) *)
   Alcotest.(check bool) "killed promptly" true (wall < 4.0)
@@ -101,10 +103,66 @@ let test_mem_cap_contains_oom () =
     P.run ~config:cfg ~worker:misbehaving ~oracle
       [ item "oom" (src "SB") None; item "ok" (src "SB") None ]
   in
-  (match (find_entry report "oom").R.status with
-  | R.Gave_up (B.Heap_exceeded 32) -> ()
-  | s -> Alcotest.failf "expected heap cap: %a" R.pp_status s);
-  Alcotest.(check int) "healthy item passed" 1 report.R.n_pass
+  (match (find_entry report "oom").Rep.status with
+  | Rep.Gave_up (B.Heap_exceeded 32) -> ()
+  | s -> Alcotest.failf "expected heap cap: %a" Rep.pp_status s);
+  Alcotest.(check int) "healthy item passed" 1 report.Rep.n_pass
+
+(* One run whose items end every way a forked worker can, each
+   classified by the supervisor and mapped to its entry by the pool. *)
+let test_every_outcome_classified () =
+  let worker (it : R.item) =
+    match it.R.id with
+    | "exit" -> Unix._exit 7
+    | "truncated" ->
+        (* exit 0 before the entry reaches the pipe *)
+        Unix._exit 0
+    | "raise" -> failwith "worker bug"
+    | _ -> misbehaving it
+  in
+  let cfg =
+    { P.default with P.jobs = 3; limits = B.limits ~timeout:0.2 ();
+      mem_limit_mb = Some 32; backoff = 0.01 }
+  in
+  let report =
+    P.run ~config:cfg ~worker ~oracle
+      (List.map
+         (fun id -> item id (src "SB") (Some Exec.Check.Allow))
+         [ "ok"; "exit"; "segv"; "loop"; "oom"; "truncated"; "raise" ])
+  in
+  let status id = (find_entry report id).Rep.status in
+  let internal id msg =
+    match status id with
+    | Rep.Err { cls = Rep.Internal; msg = m; _ } ->
+        Alcotest.(check string) (id ^ " message") msg m
+    | s ->
+        Alcotest.failf "%s: expected an internal error: %a" id Rep.pp_status s
+  in
+  (match status "ok" with
+  | Rep.Pass Exec.Check.Allow -> ()
+  | s -> Alcotest.failf "ok: expected a value: %a" Rep.pp_status s);
+  internal "exit" "worker exited with code 7";
+  internal "truncated" "worker result truncated";
+  internal "raise"
+    (Printf.sprintf "worker exited with code %d"
+       Harness.Supervisor.exit_uncaught);
+  (match status "segv" with
+  | Rep.Err { cls = Rep.Crash s; _ } ->
+      Alcotest.(check int) "signal" Sys.sigsegv s
+  | s -> Alcotest.failf "segv: expected a crash: %a" Rep.pp_status s);
+  (match status "loop" with
+  | Rep.Gave_up (B.Timed_out t) ->
+      Alcotest.(check (float 1e-9)) "watchdog" 1.4 t
+  | s -> Alcotest.failf "loop: expected a deadline kill: %a" Rep.pp_status s);
+  (match status "oom" with
+  | Rep.Gave_up (B.Heap_exceeded 32) -> ()
+  | s -> Alcotest.failf "oom: expected the heap cap: %a" Rep.pp_status s);
+  (* only the crash goes round the retry ladder *)
+  Alcotest.(check (list string)) "retried" [ "segv" ]
+    (List.filter_map
+       (fun (e : Rep.entry) ->
+         if e.Rep.retried then Some e.Rep.item_id else None)
+       report.Rep.entries)
 
 (* A flaky crash: the first attempt dies, the retry succeeds.  The
    cross-attempt state lives in the filesystem because each attempt is
@@ -129,12 +187,12 @@ let test_flaky_crash_retried () =
   in
   if Sys.file_exists marker then Sys.remove marker;
   let e = find_entry report "flaky" in
-  (match e.R.status with
-  | R.Pass _ -> ()
-  | s -> Alcotest.failf "expected pass after retry: %a" R.pp_status s);
-  Alcotest.(check bool) "marked as retried" true e.R.retried;
-  Alcotest.(check int) "no crash in the final report" 0 report.R.n_crash;
-  Alcotest.(check int) "clean exit code" 0 (R.exit_code report)
+  (match e.Rep.status with
+  | Rep.Pass _ -> ()
+  | s -> Alcotest.failf "expected pass after retry: %a" Rep.pp_status s);
+  Alcotest.(check bool) "marked as retried" true e.Rep.retried;
+  Alcotest.(check int) "no crash in the final report" 0 report.Rep.n_crash;
+  Alcotest.(check int) "clean exit code" 0 (Rep.exit_code report)
 
 let test_crash_beats_error_exit_code () =
   let report =
@@ -145,10 +203,10 @@ let test_crash_beats_error_exit_code () =
         item "fail" (src "SB") (Some Exec.Check.Forbid);
       ]
   in
-  Alcotest.(check int) "crash counted" 1 report.R.n_crash;
-  Alcotest.(check int) "error counted" 1 report.R.n_error;
-  Alcotest.(check int) "fail counted" 1 report.R.n_fail;
-  Alcotest.(check int) "crash > error > fail" 4 (R.exit_code report)
+  Alcotest.(check int) "crash counted" 1 report.Rep.n_crash;
+  Alcotest.(check int) "error counted" 1 report.Rep.n_error;
+  Alcotest.(check int) "fail counted" 1 report.Rep.n_fail;
+  Alcotest.(check int) "crash > error > fail" 4 (Rep.exit_code report)
 
 (* The default worker: no injection, real checking in real workers,
    agreeing with the in-process runner on the same items. *)
@@ -163,14 +221,14 @@ let test_agrees_with_runner () =
   let pooled = P.run ~config:(config 2) ~oracle items in
   let inproc = R.run ~limits items in
   List.iter2
-    (fun (a : R.entry) (b : R.entry) ->
+    (fun (a : Rep.entry) (b : Rep.entry) ->
       Alcotest.(check string)
-        (a.R.item_id ^ " same classified outcome")
+        (a.Rep.item_id ^ " same classified outcome")
         (Harness.Shrink.fingerprint b)
         (Harness.Shrink.fingerprint a))
-    pooled.R.entries inproc.R.entries;
-  Alcotest.(check int) "same exit code" (R.exit_code inproc)
-    (R.exit_code pooled)
+    pooled.Rep.entries inproc.Rep.entries;
+  Alcotest.(check int) "same exit code" (Rep.exit_code inproc)
+    (Rep.exit_code pooled)
 
 (* ------------------------------------------------------------------ *)
 (* Graceful drain on SIGTERM                                           *)
@@ -245,17 +303,17 @@ let test_sigterm_drains_journal () =
   Alcotest.(check bool) "partial but non-empty journal" true
     (n_drained >= 2 && n_drained < List.length battery);
   List.iter
-    (fun (e : R.entry) ->
-      match e.R.status with
-      | R.Pass _ -> ()
-      | s -> Alcotest.failf "%s drained as %a" e.R.item_id R.pp_status s)
+    (fun (e : Rep.entry) ->
+      match e.Rep.status with
+      | Rep.Pass _ -> ()
+      | s -> Alcotest.failf "%s drained as %a" e.Rep.item_id Rep.pp_status s)
     drained;
   (* the journal resumes: only the missing items re-run, the report is
      the uninterrupted one *)
   let resumed = P.run ~config:cfg ~journal:path ~resume:path ~oracle battery in
   Alcotest.(check int) "all items reported" (List.length battery)
-    (List.length resumed.R.entries);
-  Alcotest.(check int) "all passed" (List.length battery) resumed.R.n_pass;
+    (List.length resumed.Rep.entries);
+  Alcotest.(check int) "all passed" (List.length battery) resumed.Rep.n_pass;
   Alcotest.(check int) "journal now complete" (List.length battery)
     (List.length (J.load path));
   Sys.remove path
@@ -271,6 +329,8 @@ let () =
             test_watchdog_kills_loop;
           Alcotest.test_case "mem cap contains OOM" `Slow
             test_mem_cap_contains_oom;
+          Alcotest.test_case "every outcome classified" `Slow
+            test_every_outcome_classified;
         ] );
       ( "retry",
         [

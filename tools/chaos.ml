@@ -33,6 +33,7 @@
 module S = Harness.Serve
 module Pr = Harness.Proto
 module R = Harness.Runner
+module Rep = Harness.Report
 module B = Exec.Budget
 module J = Harness.Journal.Json
 
@@ -128,9 +129,9 @@ let ground_truth () =
         R.run_item ~limits ~backend:!backend ~oracle
           { R.id = f; source = `Text source; expected = None }
       in
-      match entry.R.status with
-      | R.Pass Exec.Check.Allow -> Some { name = f; source; verdict = "Allow" }
-      | R.Pass Exec.Check.Forbid ->
+      match entry.Rep.status with
+      | Rep.Pass Exec.Check.Allow -> Some { name = f; source; verdict = "Allow" }
+      | Rep.Pass Exec.Check.Forbid ->
           Some { name = f; source; verdict = "Forbid" }
       | _ -> None (* non-deterministic under budget: useless as truth *))
     sample

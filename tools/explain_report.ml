@@ -119,8 +119,8 @@ let () =
   (* per-check failure totals over the whole batch *)
   let totals = Hashtbl.create 16 in
   List.iter
-    (fun (e : Harness.Runner.entry) ->
-      match e.Harness.Runner.result with
+    (fun (e : Harness.Report.entry) ->
+      match e.Harness.Report.result with
       | Some r ->
           List.iter
             (fun (x : Exec.Explain.t) ->
@@ -129,22 +129,22 @@ let () =
                 (1 + Option.value ~default:0 (Hashtbl.find_opt totals c)))
             r.Exec.Check.explanations
       | None -> ())
-    report.Harness.Runner.entries;
+    report.Harness.Report.entries;
   let n_explained =
     List.length
       (List.filter
-         (fun (e : Harness.Runner.entry) ->
-           match e.Harness.Runner.result with
+         (fun (e : Harness.Report.entry) ->
+           match e.Harness.Report.result with
            | Some r -> r.Exec.Check.explanations <> []
            | None -> false)
-         report.Harness.Runner.entries)
+         report.Harness.Report.entries)
   in
   pr "<p>%d tests: %d pass, %d fail, %d error, %d gave up — %d with \
       explained Forbid verdicts.</p>\n"
-    (List.length report.Harness.Runner.entries)
-    report.Harness.Runner.n_pass report.Harness.Runner.n_fail
-    (report.Harness.Runner.n_error + report.Harness.Runner.n_crash)
-    report.Harness.Runner.n_gave_up n_explained;
+    (List.length report.Harness.Report.entries)
+    report.Harness.Report.n_pass report.Harness.Report.n_fail
+    (report.Harness.Report.n_error + report.Harness.Report.n_crash)
+    report.Harness.Report.n_gave_up n_explained;
   if Hashtbl.length totals > 0 then begin
     pr "<h2>Failing checks</h2>\n<table><tr><th>check</th><th>tests</th></tr>\n";
     Hashtbl.fold (fun c n acc -> (c, n) :: acc) totals []
@@ -155,10 +155,10 @@ let () =
   end;
   (* one section per explained test, diagram written alongside *)
   List.iter
-    (fun (e : Harness.Runner.entry) ->
-      match e.Harness.Runner.result with
+    (fun (e : Harness.Report.entry) ->
+      match e.Harness.Report.result with
       | Some r when r.Exec.Check.explanations <> [] ->
-          let id = e.Harness.Runner.item_id in
+          let id = e.Harness.Report.item_id in
           let checks =
             List.sort_uniq compare
               (List.map
@@ -189,12 +189,12 @@ let () =
                 (html_escape dot)
           | None -> ())
       | _ -> ())
-    report.Harness.Runner.entries;
+    report.Harness.Report.entries;
   pr "</body></html>\n";
   let oc = open_out (Filename.concat !out "index.html") in
   Buffer.output_buffer oc buf;
   close_out oc;
   Printf.printf "explain_report: %d tests, %d explained; wrote %s/index.html\n"
-    (List.length report.Harness.Runner.entries)
+    (List.length report.Harness.Report.entries)
     n_explained !out;
-  exit (Harness.Runner.exit_code report)
+  exit (Harness.Report.exit_code report)
