@@ -41,7 +41,7 @@ let main size sample seed_range verdicts outdir timeout max_candidates
     if Exec.Budget.is_unlimited limits then Exec.Oracle.run ~backend oracle t
     else Exec.Oracle.run ~backend ~budget:(Exec.Budget.start limits) oracle t
   in
-  let c11_oracle = Exec.Oracle.of_model (module Models.C11) in
+  let c11 = Harness.Registry.c11 in
   let unknowns = ref 0 in
   Fmt.pf ppf "generated %d tests of size %d@." (List.length tests) size;
   let emit_test (t : Litmus.Ast.t) =
@@ -60,8 +60,9 @@ let main size sample seed_range verdicts outdir timeout max_candidates
         Sys.rename tmp path
   in
   let c11_column (t : Litmus.Ast.t) =
-    if Models.C11.applicable t then
-      Exec.Check.verdict_to_string (budgeted c11_oracle t).Exec.Check.verdict
+    if c11.applies t then
+      Exec.Check.verdict_to_string
+        (budgeted (Harness.Registry.oracle c11) t).Exec.Check.verdict
     else "-"
   in
   (* the LK sweep is the expensive half; any pool feature moves it into

@@ -4,7 +4,7 @@
      herd_lk test.litmus                 # LK model (native)
      herd_lk -model c11 test.litmus      # a shipped model
      herd_lk -model my.cat test.litmus   # any cat file
-     herd_lk -v test.litmus              # verdict + witness explanation
+     herd_lk -v test.litmus              # verdict + forensics (= --explain)
      herd_lk -outcomes test.litmus       # all observable outcomes
      herd_lk --timeout 5 huge.litmus     # budgeted: Unknown, not a hang
      herd_lk --json *.litmus             # machine-readable batch report
@@ -15,59 +15,10 @@
 
 open Cmdliner
 
-(* One oracle per model name: the native LK value carries its batch and
-   SAT engines, cat-interpreted models their batch engine, and the
-   operational simulators stay scalar.  {!Exec.Oracle.run} falls back
-   enumeratively when the selected backend is missing. *)
-let oracle_of_name name : Exec.Oracle.t =
-  match String.lowercase_ascii name with
-  | "lk" | "lkmm" | "linux" -> Lkmm.oracle
-  | "lk-cat" -> Cat.to_oracle ~name:"LK(cat)" (Cat.parse Cat.Stdmodels.lk)
-  | "sc" -> Exec.Oracle.of_model (module Models.Sc)
-  | "tso" | "x86" -> Exec.Oracle.of_model (module Models.Tso)
-  | "c11" -> Exec.Oracle.of_model (module Models.C11)
-  | "c11-psc" | "rc11" -> Exec.Oracle.of_model (module Models.C11.Strengthened)
-  | _ when Filename.check_suffix name ".cat" ->
-      Cat.to_oracle ~name (Cat.load_file name)
-  | other -> failwith ("unknown model: " ^ other)
-
-let model_display_name name =
-  match String.lowercase_ascii name with
-  | "lk" | "lkmm" | "linux" -> "LK"
-  | "lk-cat" -> "LK(cat)"
-  | "sc" -> "SC"
-  | "tso" | "x86" -> "TSO"
-  | "c11" -> "C11"
-  | "c11-psc" | "rc11" -> "C11+psc"
-  | other -> other
-
-(* Verdict forensics (--explain, --explain-diff).  The native LK model
-   has its own explainer (which delegates decomposition to lk.cat);
-   every other model is explained by the generic cat engine on its own
-   source — the shipped twins for the built-in names, or the given
-   file. *)
-let cat_model_of_name name =
-  match String.lowercase_ascii name with
-  | "lk" | "lkmm" | "linux" | "lk-cat" -> Some (Lazy.force Cat.lk)
-  | "sc" -> Some (Cat.parse Cat.Stdmodels.sc)
-  | "tso" | "x86" -> Some (Cat.parse Cat.Stdmodels.tso)
-  | "c11" -> Some (Cat.parse Cat.Stdmodels.c11)
-  | "c11-psc" | "rc11" -> Some (Cat.parse Cat.Stdmodels.c11_psc)
-  | _ when Filename.check_suffix name ".cat" -> Some (Cat.load_file name)
-  | _ -> None
-
-let explainer_of_name name =
-  match String.lowercase_ascii name with
-  | "lk" | "lkmm" | "linux" -> Some Lkmm.Explain.explainer
-  | _ -> Option.map Cat.explainer (cat_model_of_name name)
-
-let check_names_of_name name =
-  match String.lowercase_ascii name with
-  | "lk" | "lkmm" | "linux" -> Lkmm.Explain.check_names
-  | _ -> (
-      match cat_model_of_name name with
-      | Some m -> Cat.check_names m
-      | None -> [])
+(* Resolve a model name through the registry; an unknown name is a
+   user error (exit 2). *)
+let model_of_name name =
+  match Harness.Registry.find name with Ok m -> m | Error e -> failwith e
 
 (* Per-entry console output, preserving the classic verdict line for
    completed checks. *)
@@ -143,9 +94,10 @@ let explain_diff ~limits ~backend spec (items : Harness.Runner.item list) =
         failwith
           (Printf.sprintf "--explain-diff expects MODEL,MODEL (got %S)" spec)
   in
-  let run m i =
-    R.run_item ~limits ~backend ?explainer:(explainer_of_name m)
-      ~oracle:(oracle_of_name m)
+  let a = Harness.Registry.oracle (model_of_name a)
+  and b = Harness.Registry.oracle (model_of_name b) in
+  let run (o : Exec.Oracle.t) i =
+    R.run_item ~limits ~backend ~explain:true ~oracle:o
       { i with R.expected = None }
   in
   let entries =
@@ -168,7 +120,7 @@ let explain_diff ~limits ~backend spec (items : Harness.Runner.item list) =
                    r.Exec.Check.explanations)
           | None -> []
         in
-        let na = model_display_name a and nb = model_display_name b in
+        let na = a.Exec.Oracle.name and nb = b.Exec.Oracle.name in
         Fmt.pr "Test %s: %s=%s, %s=%s@." i.R.id na (verdict ea) nb
           (verdict eb);
         let fa = failing ea and fb = failing eb in
@@ -182,9 +134,12 @@ let explain_diff ~limits ~backend spec (items : Harness.Runner.item list) =
               else Fmt.pr "  %s fails %s — not a check of %s@." n c other_name)
             f
         in
-        side na fa nb fb (check_names_of_name b);
+        let checks (o : Exec.Oracle.t) =
+          Option.fold ~none:[] ~some:(fun e -> e.Exec.Oracle.checks) o.explainer
+        in
+        side na fa nb fb (checks b);
         side nb (List.filter (fun c -> not (List.mem c fa)) fb) na fa
-          (check_names_of_name a);
+          (checks a);
         if fa = [] && fb = [] then
           Fmt.pr "  no failing checks under either model@.";
         [ ea; eb ])
@@ -249,12 +204,13 @@ let shrink_failures ~limits ~backend ~oracle ~pool_config
             o.S.oracle_runs path)
     report.Rep.entries items
 
-let main model verbose outcomes dot explain explain_diff_spec builtin timeout
+let main model outcomes dot explain explain_diff_spec builtin timeout
     max_candidates max_events json jobs mem_limit journal resume shrink
     backend trace metrics files =
   Harness.Cli.with_obs ~trace ~metrics @@ fun () ->
-  let oracle = oracle_of_name model in
-  let mname = model_display_name model in
+  let model = model_of_name model in
+  let oracle = Harness.Registry.oracle model in
+  let mname = model.Harness.Registry.name in
   let limits =
     Exec.Budget.limits ?timeout ?max_events ?max_candidates ()
   in
@@ -269,7 +225,8 @@ let main model verbose outcomes dot explain explain_diff_spec builtin timeout
             Harness.Runner.id = e.Harness.Battery.name;
             source = `Text e.Harness.Battery.source;
             expected =
-              (if mname = "LK" then Some e.Harness.Battery.lk else None);
+              (if model == Harness.Registry.lk then Some e.Harness.Battery.lk
+               else None);
           };
         ]
     | None -> [])
@@ -301,13 +258,11 @@ let main model verbose outcomes dot explain explain_diff_spec builtin timeout
     let use_pool =
       jobs > 1 || mem_limit <> None || journal <> None || resume <> None
     in
-    let explainer = if explain then explainer_of_name model else None in
     let report =
       if use_pool then
-        Harness.Pool.run ~config:pool_config ?journal ?resume ?explainer
+        Harness.Pool.run ~config:pool_config ?journal ?resume ~explain
           ~backend ~oracle items
-      else
-        Harness.Runner.run ~limits ?explainer ~backend ~oracle items
+      else Harness.Runner.run ~limits ~explain ~backend ~oracle items
     in
     if shrink then
       shrink_failures ~limits ~backend ~oracle ~pool_config report items;
@@ -325,12 +280,6 @@ let main model verbose outcomes dot explain explain_diff_spec builtin timeout
       List.iter2
         (fun (e : Harness.Report.entry) source ->
           print_entry mname outcomes e;
-          (if verbose && mname = "LK" then
-             match e.Harness.Report.result with
-             | Some _ -> (
-                 try Fmt.pr "%a@." Lkmm.Explain.pp_test_verdict (Litmus.parse source)
-                 with _ -> ())
-             | None -> ());
           match dot with Some p -> write_dot p e source | None -> ())
         report.Harness.Report.entries sources;
       if List.length items > 1 then Fmt.pr "%a@." Harness.Report.pp report
@@ -344,11 +293,8 @@ let model_arg =
     & opt string "lk"
     & info [ "model"; "m" ] ~docv:"MODEL"
         ~doc:
-          "Consistency model: lk (native), lk-cat (cat-interpreted), sc, \
-           tso, c11, c11-psc, or a .cat file.")
-
-let verbose_arg =
-  Arg.(value & flag & info [ "v" ] ~doc:"Explain forbidden tests (LK only).")
+          ("Consistency model: " ^ Harness.Registry.names_doc
+         ^ ", or a .cat file."))
 
 let outcomes_arg =
   Arg.(value & flag & info [ "outcomes" ] ~doc:"Print observable outcomes.")
@@ -373,7 +319,7 @@ let dot_arg =
 let explain_arg =
   Arg.(
     value & flag
-    & info [ "explain" ]
+    & info [ "explain"; "v" ]
         ~doc:
           "Verdict forensics: for every Forbid verdict, print each failed \
            check with a minimal witnessing cycle, every edge decomposed to \
@@ -388,7 +334,7 @@ let explain_diff_arg =
     & info [ "explain-diff" ] ~docv:"MODEL,MODEL"
         ~doc:
           "Run each test under two models with forensics on and name the \
-           checks failing under one but not the other (e.g. lkmm,c11).")
+           checks failing under one but not the other (e.g. lk,c11).")
 
 let shrink_arg =
   Arg.(
@@ -418,7 +364,7 @@ let cmd =
               (error > fail > budget).";
          ])
     Term.(
-      const main $ model_arg $ verbose_arg $ outcomes_arg $ dot_arg
+      const main $ model_arg $ outcomes_arg $ dot_arg
       $ explain_arg $ explain_diff_arg
       $ builtin_arg $ C.timeout_arg $ C.max_candidates_arg $ C.max_events_arg
       $ C.json_arg $ C.jobs_arg $ C.mem_limit_arg $ C.journal_arg

@@ -48,7 +48,9 @@ let models_arg =
     value
     & opt (list string) [ "lk"; "cat"; "c11" ]
     & info [ "models" ] ~docv:"M,.."
-        ~doc:"Model columns: any of lk (native), cat (lk.cat), c11.")
+        ~doc:
+          ("Model columns, by registered name: " ^ Harness.Registry.names_doc
+         ^ ", or a .cat file.  lk.cat's column is journalled as cat."))
 
 let archs_arg =
   Arg.(

@@ -79,7 +79,10 @@ let client_flag =
   Arg.(value & flag & info [ "client" ] ~doc)
 
 let model_arg =
-  let doc = "Model to check against (client mode)." in
+  let doc =
+    "Model to check against (client mode): " ^ Harness.Registry.names_doc
+    ^ ", or a .cat file."
+  in
   Arg.(value & opt string "lk" & info [ "model" ] ~docv:"NAME" ~doc)
 
 let stats_flag =

@@ -59,10 +59,19 @@ let () =
 
   Fmt.pr "@.== With smp_wmb / smp_rmb (Figures 1 and 2): forbidden ==@.";
   ignore (check mp_fenced);
-  Fmt.pr "%a@." Lkmm.Explain.pp_test_verdict (Litmus.parse mp_fenced);
+  (* with forensics on, a Forbid verdict names the violated axiom and
+     its cycle, each edge decomposed to primitive relations *)
+  List.iter (Fmt.pr "%a@." Exec.Explain.pp)
+    (Exec.Oracle.run ~explain:true Lkmm.oracle (Litmus.parse mp_fenced))
+      .Exec.Check.explanations;
+  Fmt.pr "@.";
 
   (* The same model is executable from its cat source, like herd does. *)
   Fmt.pr "== The same verdicts from the cat-interpreted model (lk.cat) ==@.";
-  let cat_result = Cat.check_lk (Litmus.parse mp_fenced) in
+  let cat_result =
+    Exec.Oracle.run
+      (Harness.Registry.oracle Harness.Registry.lk_cat)
+      (Litmus.parse mp_fenced)
+  in
   Fmt.pr "MP+wmb+rmb under lk.cat: %a@." Exec.Check.pp_verdict
     cat_result.Exec.Check.verdict

@@ -14,7 +14,8 @@ let () =
     (fun name ->
       let e = Harness.Battery.find name in
       let test = Harness.Battery.test_of e in
-      Fmt.pr "%a@." Lkmm.Explain.pp_test_verdict test)
+      Fmt.pr "%s: %a@." name Exec.Check.pp_result
+        (Exec.Oracle.run ~explain:true Lkmm.oracle test))
     [ "RCU-MP"; "RCU-deferred-free"; "RCU+2rscs+1gp"; "RCU+2rscs+2gp" ];
 
   Fmt.pr "@.== 2. Theorem 1: Pb+RCU axioms <=> fundamental law ==@.";

@@ -43,6 +43,15 @@ let c_cache_hits = Obs.Counter.make "cat.cache.hits"
 let c_cache_misses = Obs.Counter.make "cat.cache.misses"
 let h_replay = Obs.Histogram.make "cat.replay_us"
 
+(** [explainer model] is [model]'s verdict forensics: explanations of
+    every failed check on a rejected candidate (see {!Explain}), over
+    the vocabulary of its [as] names. *)
+let explainer (model : model) : Exec.Oracle.explainer =
+  {
+    Exec.Oracle.explain = Explain.explain_execution model;
+    checks = Explain.check_names model;
+  }
+
 (** [to_oracle ~name model] packages a cat model as an {!Exec.Oracle.t}
     with a scalar and a bit-plane batched engine, budget-indexed per
     request (the fixpoint interpreter shares the test's deadline).
@@ -67,7 +76,8 @@ let h_replay = Obs.Histogram.make "cat.replay_us"
     coherence axiom even on prefiltered candidates, which is sound and
     keeps the evaluator oblivious to which checks encode coherence.  No
     symbolic engine yet — a [Sat] request falls back enumeratively,
-    counted, per {!Exec.Oracle.run}. *)
+    counted, per {!Exec.Oracle.run}.  Its forensics are the model's
+    own: {!explainer}. *)
 let to_oracle ~name (model : model) : Exec.Oracle.t =
   let compiled = Interp.compile model in
   let slot : (Exec.Event.t array * Interp.prefix) option ref = ref None in
@@ -99,20 +109,7 @@ let to_oracle ~name (model : model) : Exec.Oracle.t =
     ~batch:(fun budget ~coherent:_ ~mask (xs : Exec.t array) ->
       let prefix = prefix_of budget xs.(0) in
       Interp.run_with_prefix ?budget prefix (Interp.env_of_executions ~mask xs))
-    ()
-
-(** [explainer ?budget model] is a verdict-forensics hook for
-    {!Exec.Check.run}: explanations of every failed check on a rejected
-    candidate (see {!Explain}). *)
-let explainer = Explain.explainer
-
-(** The [as] names of [model]'s checks, in source order. *)
-let check_names = Explain.check_names
+    ~explainer:(explainer model) ()
 
 (** The shipped LK model (lk.cat), parsed. *)
 let lk = lazy (parse Stdmodels.lk)
-
-(** [check_lk test] runs [test] against the cat-interpreted LK model on
-    its batched engine. *)
-let check_lk test =
-  Exec.Oracle.run (to_oracle ~name:"LK(cat)" (Lazy.force lk)) test

@@ -458,10 +458,6 @@ let explain_execution ?budget (model : Ast.t) (x : Exec.t) =
   let { defs; failed; _ } = replay ?budget model (Interp.env_of_execution x) in
   List.filter_map (build x defs) failed
 
-(* An explainer for {!Exec.Check.run}'s [?explainer]. *)
-let explainer ?budget (model : Ast.t) : Exec.t -> E.t list =
- fun x -> explain_execution ?budget model x
-
 (* A membership resolver over [model]'s full environment on [x] (every
    primitive and defined relation name), for re-validating explanations
    outside the engine. *)

@@ -22,11 +22,6 @@
 val explain_execution :
   ?budget:Exec.Budget.t -> Ast.t -> Exec.t -> Exec.Explain.t list
 
-(** [explainer ?budget model] packages {!explain_execution} for
-    {!Exec.Check.run}'s [?explainer] argument. *)
-val explainer :
-  ?budget:Exec.Budget.t -> Ast.t -> Exec.t -> Exec.Explain.t list
-
 (** The [as] names of the model's checks, in source order (the
     vocabulary [--explain-diff] compares). *)
 val check_names : Ast.t -> string list

@@ -98,6 +98,11 @@ type result = {
   sat : sat_stats option; (* solver counters, SAT backend only *)
 }
 
+let pp_result ppf r =
+  Fmt.pf ppf "%a (%d candidate executions, %d consistent)" pp_verdict r.verdict
+    r.n_candidates r.n_consistent;
+  List.iter (Fmt.pf ppf "@\n%a" Explain.pp) r.explanations
+
 (* Interpret the test's quantifier over the consistent executions:
    - exists c  : Allow iff some consistent execution satisfies c;
    - ~exists c : Allow iff some consistent execution satisfies c

@@ -82,6 +82,10 @@ type result = {
   sat : sat_stats option;  (** solver counters, SAT backend only *)
 }
 
+(** "Forbid (12 candidate executions, 3 consistent)", then every
+    explanation the result carries, one per line. *)
+val pp_result : result Fmt.t
+
 (** [unknown reason] is an empty result with an [Unknown] verdict —
     the partial-result constructor used when a budget trips or an
     engine fails; [n_candidates] reports the budget's partial count. *)

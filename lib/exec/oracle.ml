@@ -11,16 +11,23 @@
 
 type backend_request = Check.backend
 
+type explainer = {
+  explain : Execution.t -> Explain.t list;
+  checks : string list;
+}
+
 type t = {
   name : string;  (* the model's name, stable across engines *)
   model : Budget.t option -> (module Check.MODEL);
   batch : (Budget.t option -> Check.batch_fn) option;
   solve : Solve.solve_fn option;
+  explainer : explainer option;
 }
 
 let c_fallback = Obs.Counter.make "sat.fallback"
 
-let make ~name ~model ?batch ?solve () = { name; model; batch; solve }
+let make ~name ~model ?batch ?solve ?explainer () =
+  { name; model; batch; solve; explainer }
 
 (* Most scalar models are budget-oblivious modules; wrap them without
    ceremony, taking the oracle's name from the model's own. *)
@@ -35,7 +42,10 @@ let batch_for t budget (req : backend_request) =
   | Check.Batch -> Option.map (fun mk -> mk budget) t.batch
   | Check.Enum | Check.Sat -> None
 
-let run ?budget ?prefilter ?explainer ?(backend = Check.Batch) t test =
+let run ?budget ?prefilter ?(explain = false) ?(backend = Check.Batch) t test =
+  let explainer =
+    if explain then Option.map (fun e -> e.explain) t.explainer else None
+  in
   match (backend, t.solve) with
   | Check.Sat, Some solve -> solve ?budget ?explainer test
   | _ ->

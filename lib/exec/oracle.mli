@@ -9,9 +9,21 @@
     Oracles replace the old [(model, batch_fn)] pairing that each
     harness layer re-assembled: construct one next to the model
     ([Lkmm.oracle], [Cat.to_oracle], …) and pass it as a single value
-    through Runner, Pool, Serve, Campaign, Sweep and the CLIs. *)
+    through Runner, Pool, Serve, Campaign, Sweep and the CLIs.  A
+    model's verdict forensics travel in the same value, so no caller
+    can pair one model's verdicts with another model's explanations. *)
 
 type backend_request = Check.backend
+
+(** A model's verdict forensics. *)
+type explainer = {
+  explain : Execution.t -> Explain.t list;
+      (** one validated explanation per failed check of a rejected
+          candidate; [[]] iff the candidate is consistent *)
+  checks : string list;
+      (** every check name an explanation can carry, in source order
+          (the vocabulary [--explain-diff] compares) *)
+}
 
 type t = {
   name : string;  (** the model's name, stable across engines *)
@@ -22,6 +34,7 @@ type t = {
   batch : (Budget.t option -> Check.batch_fn) option;
       (** the bit-plane batched engine *)
   solve : Solve.solve_fn option;  (** the symbolic engine *)
+  explainer : explainer option;  (** the forensics [~explain] turns on *)
 }
 
 (** [of_model (module M)] — a scalar-only oracle around a
@@ -33,6 +46,7 @@ val make :
   model:(Budget.t option -> (module Check.MODEL)) ->
   ?batch:(Budget.t option -> Check.batch_fn) ->
   ?solve:Solve.solve_fn ->
+  ?explainer:explainer ->
   unit ->
   t
 
@@ -45,12 +59,14 @@ val make :
       otherwise;
     - [Enum]: the scalar path — the reference engine.
 
-    [?prefilter]/[?explainer] forward to {!Check.run} on the
-    enumerative paths; the symbolic engine takes [?explainer] only. *)
+    [?prefilter] forwards to {!Check.run} on the enumerative paths.
+    [~explain:true] (default [false]) hands the oracle's own explainer
+    to whichever engine runs; an oracle without one checks as if
+    [explain] were [false]. *)
 val run :
   ?budget:Budget.t ->
   ?prefilter:bool ->
-  ?explainer:(Execution.t -> Explain.t list) ->
+  ?explain:bool ->
   ?backend:backend_request ->
   t ->
   Litmus.Ast.t ->

@@ -131,41 +131,40 @@ let check_verdict ?backend limits oracle t =
   | r -> verdict_str r.Exec.Check.verdict
   | exception _ -> "Unknown"
 
-(* The axiomatic columns, built once per worker: the packaged cat
-   oracle carries a one-slot prefix cache that must live across the
-   whole shard, not per test.  The config's [backend] picks each
-   column's engine ([Batch] by default). *)
-let build_checks config =
-  List.filter_map
-    (function
-      | "lk" -> Some ("lk", Lkmm.oracle)
-      | "cat" -> Some ("cat", Cat.to_oracle ~name:"LK(cat)" (Lazy.force Cat.lk))
-      | _ -> None)
-    config.models
+(* The model columns, resolved through the registry.  A column's
+   journal key is its model's registry key, except lk.cat's, which
+   campaigns have always called "cat"; a name the registry does not know,
+   or a model named twice, is an error. *)
+let columns models =
+  let key (m : Registry.t) = if m == Registry.lk_cat then "cat" else m.key in
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | name :: rest -> (
+        match Registry.find name with
+        | Error e -> Error e
+        | Ok m when List.mem_assoc (key m) acc ->
+            Error ("model column given twice: " ^ name)
+        | Ok m -> go ((key m, m) :: acc) rest)
+  in
+  go [] models
 
 (* One journal line per seed:
      {"seed": 7, "test": null}                      -- walk didn't realise
      {"seed": 8, "test": "...", "time_s": ..,
       "v": {"lk": "Allow", "cat": "Allow", "c11": "-", "hw:Power8": "obs"}} *)
-let classify ~checks ~backend ~c11 ~archs ~hw_runs ~limits ~size seed =
+let classify ~columns ~backend ~archs ~hw_runs ~limits ~size seed =
   match Diygen.test_of_seed ~vocabulary ~size seed with
   | None -> Printf.sprintf "{\"seed\": %d, \"test\": null}" seed
   | Some t ->
       let t0 = Unix.gettimeofday () in
       let v =
         List.map
-          (fun (name, oracle) -> (name, check_verdict ~backend limits oracle t))
-          checks
-        @ (if c11 then
-             [
-               ( "c11",
-                 if Models.C11.applicable t then
-                   check_verdict limits
-                     (Exec.Oracle.of_model (module Models.C11))
-                     t
-                 else "-" );
-             ]
-           else [])
+          (fun (key, (m : Registry.t)) ->
+            ( key,
+              if m.applies t then
+                check_verdict ~backend limits (Registry.oracle m) t
+              else "-" ))
+          columns
         @ List.map
             (fun (arch : Hwsim.Arch.t) ->
               ( "hw:" ^ arch.Hwsim.Arch.name,
@@ -334,12 +333,10 @@ let h_shard_pending = Obs.Histogram.make "campaign.shard_pending_us"
    checkpointed, so the poison and wedge chaos hooks — like any real
    crash — leave a post-mortem whose open [campaign.seed] span names
    the victim seed. *)
-let run_worker config ~lo ~hi ~attempt () =
+let run_worker config ~columns ~lo ~hi ~attempt () =
   let jpath = shard_journal_path config.dir lo hi in
   let done_cells = read_shard_journal jpath in
   let w = Journal.open_writer jpath in
-  let checks = build_checks config in
-  let c11 = List.mem "c11" config.models in
   let archs = List.map Hwsim.Arch.find config.archs in
   let limits = if attempt >= 2 then config.reduced else config.limits in
   for seed = lo to hi - 1 do
@@ -356,7 +353,7 @@ let run_worker config ~lo ~hi ~attempt () =
                while true do
                  Unix.sleepf 3600.
                done;
-             classify ~checks ~backend:config.backend ~c11 ~archs
+             classify ~columns ~backend:config.backend ~archs
                ~hw_runs:config.hw_runs ~limits ~size:config.size seed))
   done;
   Journal.close w
@@ -433,7 +430,7 @@ let attach_explanations ~size (p : pattern) =
           match
             Exec.Oracle.run
               ~budget:(Exec.Budget.start Exec.Budget.default)
-              ~explainer:Lkmm.Explain.explainer Lkmm.oracle t
+              ~explain:true Lkmm.oracle t
           with
           | r ->
               {
@@ -670,10 +667,15 @@ let stale_worker_alive pid =
   | exception Unix.Unix_error _ -> false
 
 let run config =
-  ensure_dir config.dir;
-  match Manifest.open_ (manifest_path config.dir) (spec_of_config config) with
+  let opened =
+    Result.bind (columns config.models) (fun columns ->
+        ensure_dir config.dir;
+        Manifest.open_ (manifest_path config.dir) (spec_of_config config)
+        |> Result.map (fun m -> (columns, m)))
+  in
+  match opened with
   | Error e -> Error e
-  | Ok m ->
+  | Ok (columns, m) ->
       (* Resume: leases held by a dead orchestrator's workers are
          requeued without escalating the ladder — the worker never got
          to fail — after killing any orphan still running (two writers
@@ -690,9 +692,10 @@ let run config =
                 (Manifest.Requeue { lo = sh.lo; hi = sh.hi; failed = false })
           | _ -> ())
         (Manifest.shards m);
-      (* Force the cat model in the parent: workers inherit the parsed
-         model copy-on-write instead of each re-parsing it. *)
-      if List.mem "cat" config.models then ignore (Lazy.force Cat.lk);
+      (* Build the column oracles in the parent: workers inherit the
+         parsed and compiled models copy-on-write instead of each
+         rebuilding them. *)
+      List.iter (fun (_, m) -> ignore (Registry.oracle m)) columns;
       (* in-flight shard workers: child, range, lease time *)
       let running = ref [] in
       (* Live telemetry: periodic lkmetrics-1 snapshots journalled
@@ -815,7 +818,7 @@ let run config =
                     ?flight:
                       (if config.flight then Some (config.dir, Some 8)
                        else None)
-                    (run_worker config ~lo:sh.lo ~hi:sh.hi ~attempt)
+                    (run_worker config ~columns ~lo:sh.lo ~hi:sh.hi ~attempt)
                 in
                 let now = Unix.gettimeofday () in
                 (match Hashtbl.find_opt pending_since (sh.lo, sh.hi) with

@@ -25,7 +25,9 @@ type config = {
   seed_hi : int;  (** exclusive *)
   shard_size : int;  (** seeds per initial shard *)
   jobs : int;  (** concurrent shard workers *)
-  models : string list;  (** subset of ["lk"], ["cat"], ["c11"] *)
+  models : string list;
+      (** model columns, by {!Registry} name; each is journalled under
+          its registry key, lk.cat's as ["cat"] *)
   archs : string list;  (** hwsim profiles, by {!Hwsim.Arch.find} name *)
   hw_runs : int;  (** operational runs per test per arch *)
   limits : Exec.Budget.limits;  (** attempt 1 *)
@@ -105,8 +107,8 @@ val report_to_text : report -> string
 
 val run : config -> (report, string) result
 (** Run (or resume) the campaign in [config.dir] to completion and mine
-    it.  [Error] only on a spec mismatch against an existing
-    manifest. *)
+    it.  [Error] on a model name the registry does not know (or one
+    given twice) and on a spec mismatch against an existing manifest. *)
 
 (** {1 Exposed for tests} *)
 

@@ -66,11 +66,11 @@ let all =
 
 let pp_one ppf (f : figure) =
   let test = Battery.test_of f.entry in
-  Fmt.pf ppf "@[<v>--- Figure %s: %s ---@,%s@,LK: %a@,"
-    f.id f.entry.name f.caption Lkmm.Explain.pp_test_verdict test;
-  (match f.entry.c11 with
-  | Some expected when Models.C11.applicable test ->
-      let got = (Exec.Check.run (module Models.C11) test).Exec.Check.verdict in
+  Fmt.pf ppf "@[<v>--- Figure %s: %s ---@,%s@,LK: %a@," f.id f.entry.name
+    f.caption Exec.Check.pp_result
+    (Exec.Oracle.run ~explain:true Lkmm.oracle test);
+  (match (f.entry.c11, Registry.(verdict c11) test) with
+  | Some expected, Some got ->
       Fmt.pf ppf "C11: %a (paper: %a)@," Exec.Check.pp_verdict got
         Exec.Check.pp_verdict expected
   | _ -> ());
@@ -83,17 +83,11 @@ let issues () =
   List.filter_map
     (fun f ->
       let test = Battery.test_of f.entry in
-      let lk = (Exec.Check.run (module Lkmm) test).Exec.Check.verdict in
-      if lk <> f.entry.lk then
-        Some (Printf.sprintf "figure %s: LK verdict differs" f.id)
+      if (Exec.Oracle.run Lkmm.oracle test).Exec.Check.verdict <> f.entry.lk
+      then Some (Printf.sprintf "figure %s: LK verdict differs" f.id)
       else
-        match f.entry.c11 with
-        | Some expected when Models.C11.applicable test ->
-            let got =
-              (Exec.Check.run (module Models.C11) test).Exec.Check.verdict
-            in
-            if got <> expected then
-              Some (Printf.sprintf "figure %s: C11 verdict differs" f.id)
-            else None
+        match (f.entry.c11, Registry.(verdict c11) test) with
+        | Some expected, Some got when got <> expected ->
+            Some (Printf.sprintf "figure %s: C11 verdict differs" f.id)
         | _ -> None)
     all

@@ -1,9 +1,9 @@
 (** Regenerating the paper's figures: each figure is a litmus test
     whose forbidden execution the LK model must reject (or, for
     Figure 14, an allowed test that C11 rejects).  The printer shows
-    the test, the verdict, and — for forbidden tests — the violated
-    axiom with a witness cycle, mirroring the paper's cycle-by-cycle
-    explanations. *)
+    the test, the verdict, and — for forbidden tests — the structured
+    explanation of each violated axiom ({!Exec.Explain.t}), mirroring
+    the paper's cycle-by-cycle explanations. *)
 
 type figure = {
   id : string;  (** e.g. "2", "4", ... *)

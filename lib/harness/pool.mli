@@ -53,20 +53,20 @@ val run :
   ?worker:(Runner.item -> Report.entry) ->
   ?journal:string ->
   ?resume:string ->
-  ?explainer:(Exec.t -> Exec.Explain.t list) ->
+  ?explain:bool ->
   ?backend:Exec.Check.backend ->
   ?oracle:Exec.Oracle.t ->
   Runner.item list ->
   Report.t
-(** [run ?config ?worker ?journal ?resume ?explainer ?oracle items] —
+(** [run ?config ?worker ?journal ?resume ?explain ?oracle items] —
     check every item in its own process and summarise.  [worker]
     overrides the per-item computation (tests inject crashing
     workers); the default is {!Runner.run_item} under the config's
     budget, with the heap cap folded into the budget so cooperative
     paths classify allocation blowups before the Gc alarm must.
-    [explainer] turns on verdict forensics in the default worker;
-    explanations and the counterexample marshal back over the result
-    pipe with the entry.  [oracle] (default {!Lkmm.oracle}) and
+    [explain] turns on the oracle's verdict forensics in the default
+    worker; explanations and the counterexample marshal back over the
+    result pipe with the entry.  [oracle] (default {!Lkmm.oracle}) and
     [backend] (default [Batch]) select the checking oracle and engine
     through {!Exec.Oracle.run}.  [journal] appends each completed
     entry; [resume] recycles entries from an existing journal and runs

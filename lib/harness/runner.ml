@@ -63,7 +63,7 @@ let read_file path =
 
 exception Lint_failed of string
 
-let run_item ?(limits = Exec.Budget.default) ?deadline ?(lint = true) ?explainer
+let run_item ?(limits = Exec.Budget.default) ?deadline ?(lint = true) ?explain
     ?backend ?(oracle = Lkmm.oracle) (item : item) =
   let t0 = Unix.gettimeofday () in
   let budget =
@@ -112,7 +112,7 @@ let run_item ?(limits = Exec.Budget.default) ?deadline ?(lint = true) ?explainer
                              (fun (i : Litmus.Lint.issue) ->
                                i.Litmus.Lint.message)
                              issues))));
-        let r = Exec.Oracle.run ?budget ?explainer ?backend oracle test in
+        let r = Exec.Oracle.run ?budget ?explain ?backend oracle test in
         match r.Exec.Check.verdict with
         | Exec.Check.Unknown (Exec.Check.Budget_exceeded reason) ->
             finish (Gave_up reason)
@@ -135,9 +135,9 @@ let run_item ?(limits = Exec.Budget.default) ?deadline ?(lint = true) ?explainer
 (* Batches                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let run ?limits ?lint ?explainer ?backend ?oracle (items : item list) =
+let run ?limits ?lint ?explain ?backend ?oracle (items : item list) =
   let t0 = Unix.gettimeofday () in
   let entries =
-    List.map (run_item ?limits ?lint ?explainer ?backend ?oracle) items
+    List.map (run_item ?limits ?lint ?explain ?backend ?oracle) items
   in
   Report.summarise ~wall:(Unix.gettimeofday () -. t0) entries

@@ -37,9 +37,9 @@ val read_file : string -> string
     lint errors become [Err {cls = Lint; _}] entries.  When the
     observability collector is on, the item runs inside an "item" span
     with "parse" and "lint" children (checking opens its own spans).
-    [explainer] (forwarded to the check) turns on verdict forensics:
-    Forbid results carry validated explanations, at zero cost when
-    absent.  [deadline] (checking-as-a-service) arms the budget against
+    [explain] (default [false]) turns on the oracle's verdict
+    forensics: Forbid results carry validated explanations, at zero
+    cost when off.  [deadline] (checking-as-a-service) arms the budget against
     an absolute deadline via {!Exec.Budget.start_at}, so time spent
     queued before this call counts against the item.
 
@@ -52,7 +52,7 @@ val run_item :
   ?limits:Exec.Budget.limits ->
   ?deadline:float ->
   ?lint:bool ->
-  ?explainer:(Exec.t -> Exec.Explain.t list) ->
+  ?explain:bool ->
   ?backend:Exec.Check.backend ->
   ?oracle:Exec.Oracle.t ->
   item ->
@@ -63,7 +63,7 @@ val run_item :
 val run :
   ?limits:Exec.Budget.limits ->
   ?lint:bool ->
-  ?explainer:(Exec.t -> Exec.Explain.t list) ->
+  ?explain:bool ->
   ?backend:Exec.Check.backend ->
   ?oracle:Exec.Oracle.t ->
   item list ->

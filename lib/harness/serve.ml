@@ -93,41 +93,6 @@ let default =
 let max_replacements = 32
 
 (* ------------------------------------------------------------------ *)
-(* Models                                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* [mkey] is the model's full identity for cache addressing: the
-   canonical name for built-ins (the binary pins their semantics), the
-   digest of the file's contents for .cat files (edits invalidate). *)
-type model = {
-  mkey : string;
-  oracle : Exec.Oracle.t;
-      (* every engine the model ships; the config's [backend] picks *)
-}
-
-let builtin_models () =
-  let scalar mkey m = { mkey; oracle = Exec.Oracle.of_model m } in
-  let lk = { mkey = "lk"; oracle = Lkmm.oracle } in
-  let lk_cat =
-    {
-      mkey = "lk-cat";
-      oracle = Cat.to_oracle ~name:"LK(cat)" (Cat.parse Cat.Stdmodels.lk);
-    }
-  in
-  [
-    ("lk", lk);
-    ("lkmm", lk);
-    ("linux", lk);
-    ("lk-cat", lk_cat);
-    ("sc", scalar "sc" (module Models.Sc));
-    ("tso", scalar "tso" (module Models.Tso));
-    ("x86", scalar "tso" (module Models.Tso));
-    ("c11", scalar "c11" (module Models.C11));
-    ("c11-psc", scalar "c11-psc" (module Models.C11.Strengthened));
-    ("rc11", scalar "c11-psc" (module Models.C11.Strengthened));
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* Jobs and state                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -167,8 +132,7 @@ type conn = {
 
 type t = {
   cfg : config;
-  models : (string, model) Hashtbl.t; (* by name (built-ins) *)
-  cat_models : (string, model) Hashtbl.t; (* by contents digest *)
+  cat_models : (string, Registry.t) Hashtbl.t; (* by contents digest *)
   cache : Vcache.t;
   mutex : Mutex.t; (* guards queue / slots / completed *)
   cond : Condition.t;
@@ -480,32 +444,29 @@ let drain_completions p now =
 (* Admission                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Built-ins resolve through the registry; .cat files through a digest
+   cache of their contents.  The resolved key is the model's full
+   identity for cache addressing: the registry key for built-ins (the
+   binary pins their semantics), the contents' digest for .cat files (an
+   edited file is a new model). *)
 let resolve_model p name =
-  match Hashtbl.find_opt p.models (String.lowercase_ascii name) with
-  | Some m -> Ok m
-  | None ->
-      if Filename.check_suffix name ".cat" && Sys.file_exists name then begin
-        match Runner.read_file name with
-        | exception Sys_error e -> Error ("cannot read model: " ^ e)
-        | src -> (
-            let digest = Digest.to_hex (Digest.string src) in
-            match Hashtbl.find_opt p.cat_models digest with
-            | Some m -> Ok m
-            | None -> (
-                match Cat.parse src with
-                | exception e ->
-                    Error ("cannot parse model: " ^ Printexc.to_string e)
-                | parsed ->
-                    let m =
-                      {
-                        mkey = "cat:" ^ digest;
-                        oracle = Cat.to_oracle ~name parsed;
-                      }
-                    in
-                    Hashtbl.replace p.cat_models digest m;
-                    Ok m))
-      end
-      else Error ("unknown model: " ^ name)
+  if Filename.check_suffix name ".cat" && Sys.file_exists name then begin
+    match Runner.read_file name with
+    | exception Sys_error e -> Error ("cannot read model: " ^ e)
+    | src -> (
+        let digest = Digest.to_hex (Digest.string src) in
+        match Hashtbl.find_opt p.cat_models digest with
+        | Some m -> Ok m
+        | None -> (
+            match Cat.parse src with
+            | exception e ->
+                Error ("cannot parse model: " ^ Printexc.to_string e)
+            | parsed ->
+                let m = Registry.of_cat ~key:("cat:" ^ digest) ~name parsed in
+                Hashtbl.replace p.cat_models digest m;
+                Ok m))
+  end
+  else Registry.find name
 
 (* One reading of the daemon's gauges, rendered by both the [stats] and
    the [metrics] op. *)
@@ -666,8 +627,8 @@ let handle_line p conn line ~request_shutdown =
         | Proto.Check c -> (
             match resolve_model p c.model with
             | Error msg -> err ~id:req_id msg
-            | Ok m -> (
-                let vkey = Vcache.key ~model_key:m.mkey ~source:c.test in
+            | Ok (m : Registry.t) -> (
+                let vkey = Vcache.key ~model_key:m.key ~source:c.test in
                 if quarantined p vkey then
                   respond p conn.cid ~cls:Proto.Quarantined
                     (Proto.response_line ~id:req_id ~cls:Proto.Quarantined
@@ -707,7 +668,7 @@ let handle_line p conn line ~request_shutdown =
                             t_admit;
                             conn_id = conn.cid;
                             test = c.test;
-                            oracle = m.oracle;
+                            oracle = Registry.oracle m;
                             expected = c.expected;
                             deadline = now +. timeout;
                             vkey;
@@ -763,39 +724,31 @@ let feed p conn data ~request_shutdown =
 (* Startup and main loop                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* A trivial one-thread test: running it through every built-in model at
-   startup forces shared lazies and warms parse tables in the main
-   domain, before any worker domain can race on them. *)
+(* A trivial one-thread test: running it through every registered model
+   at startup forces the registry's lazy oracles and other shared lazies
+   and warms parse tables in the main domain, before any worker domain
+   can race on them. *)
 let warmup_test =
   "C warmup\n\n{ }\n\nP0(int *x) {\n  int r0 = READ_ONCE(*x);\n}\n\n\
    exists (0:r0=1)\n"
 
 let warmup p =
-  ignore (Lazy.force Cat.lk);
   let item =
     { Runner.id = "warmup"; source = `Text warmup_test; expected = None }
   in
   List.iter
-    (fun name ->
-      match Hashtbl.find_opt p.models name with
-      | Some m ->
-          ignore
-            (Runner.run_item
-               ~limits:(Exec.Budget.limits ~timeout:10. ())
-               ~backend:p.cfg.backend ~oracle:m.oracle item)
-      | None -> ())
-    [ "lk"; "lk-cat"; "sc"; "tso"; "c11"; "c11-psc" ]
+    (fun m ->
+      ignore
+        (Runner.run_item
+           ~limits:(Exec.Budget.limits ~timeout:10. ())
+           ~backend:p.cfg.backend ~oracle:(Registry.oracle m) item))
+    Registry.all
 
 let create cfg =
-  let models = Hashtbl.create 16 in
-  List.iter
-    (fun (n, m) -> Hashtbl.replace models n m)
-    (builtin_models ());
   let wake_r, wake_w = Unix.pipe () in
   Unix.set_nonblock wake_w;
   {
     cfg;
-    models;
     cat_models = Hashtbl.create 8;
     cache = Vcache.create ?journal:cfg.cache_journal ~fsync:cfg.fsync ();
     mutex = Mutex.create ();

@@ -48,14 +48,14 @@ let classify ?limits ?backend ?(archs = [ Hwsim.Arch.power8; Hwsim.Arch.x86 ])
           unknown :=
             (t.name, Exec.Check.unknown_reason_to_string r) :: !unknown);
       (match
-         (budgeted_run ?limits (Exec.Oracle.of_model (module Models.Sc)) t)
+         (budgeted_run ?limits (Registry.oracle Registry.sc) t)
            .Exec.Check.verdict
        with
       | Exec.Check.Forbid -> incr sc_forbid
       | Exec.Check.Allow | Exec.Check.Unknown _ -> ());
-      (if Models.C11.applicable t then
+      (if Registry.c11.applies t then
          let c11 =
-           (budgeted_run ?limits (Exec.Oracle.of_model (module Models.C11)) t)
+           (budgeted_run ?limits (Registry.oracle Registry.c11) t)
              .Exec.Check.verdict
          in
          match (c11, lk) with
@@ -108,8 +108,8 @@ let strength_issues ?limits ?backend tests =
   List.concat_map
     (fun (t : Litmus.Ast.t) ->
       let v o = (budgeted_run ?limits o t).Exec.Check.verdict in
-      let sc = v (Exec.Oracle.of_model (module Models.Sc))
-      and tso = v (Exec.Oracle.of_model (module Models.Tso))
+      let sc = v (Registry.oracle Registry.sc)
+      and tso = v (Registry.oracle Registry.tso)
       and lk =
         (budgeted_run ?limits ?backend Lkmm.oracle t).Exec.Check.verdict
       in

@@ -15,11 +15,7 @@ type row = {
 let row_of_entry ?(runs = 5_000) ?(seed = 7) (e : Battery.entry) =
   let test = Battery.test_of e in
   let lk = (Exec.Check.run (module Lkmm) test).Exec.Check.verdict in
-  let c11 =
-    if Models.C11.applicable test then
-      Some (Exec.Check.run (module Models.C11) test).Exec.Check.verdict
-    else None
-  in
+  let c11 = Registry.(verdict c11) test in
   let hw =
     List.map
       (fun arch ->

@@ -1,176 +1,23 @@
-(* Human-readable explanations of LKMM verdicts: which axioms an execution
-   violates and a witness cycle for each, with events printed in the
-   paper's style. *)
+(* Native verdicts, cat-level explanations: {!Axioms} detects the
+   violations and the cat engine on lk.cat (the same relations under the
+   same names) extracts and decomposes the cycles.  Were the two to
+   disagree, the explanation would describe another model than the
+   verdict: a hard [Exec.Explain.Invalid]. *)
 
-type violation = {
-  axiom : Axioms.name;
-  cycle : int list; (* event ids; first = last *)
-}
-
-let violations_of (c : Relations.ctx) =
-  List.filter_map
-    (fun axiom ->
-      if Axioms.holds c axiom then None
-      else
-        let rel = Axioms.relation c axiom in
-        let cycle =
-          match axiom with
-          | Axioms.At ->
-              (* the violated constraint is emptiness, show an offending pair *)
-              (match Rel.to_list rel with (a, b) :: _ -> [ a; b ] | [] -> [])
-          | _ -> Option.value ~default:[] (Rel.find_cycle rel)
-        in
-        Some { axiom; cycle })
-    Axioms.all
-
-let pp_violation (x : Exec.t) ppf { axiom; cycle } =
-  Fmt.pf ppf "violates %s%a" (Axioms.to_string axiom)
-    Fmt.(
-      list ~sep:nop (fun ppf id ->
-          pf ppf "@\n    %a" Exec.Event.pp x.events.(id)))
-    cycle
-
-let pp_execution_verdict ppf (x : Exec.t) =
-  let c = Relations.make x in
-  match violations_of c with
-  | [] -> Fmt.pf ppf "consistent"
-  | vs ->
-      Fmt.pf ppf "@[<v>forbidden:@,%a@]"
-        Fmt.(list ~sep:cut (pp_violation x))
-        vs
-
-(* ------------------------------------------------------------------ *)
-(* Structured forensics (Exec.Explain.t)                               *)
-(* ------------------------------------------------------------------ *)
-
-(* The native model and lk.cat define the same relations under the same
-   names (the differential suite holds them together), so the native
-   explainer detects violations cheaply via {!Axioms} and delegates the
-   cycle extraction and provenance decomposition to the generic cat
-   engine on the shipped lk.cat — native verdicts get cat-level
-   explanations for free.
-
-   If the two ever diverged (a cat explanation missing for a natively
-   violated axiom), the fallback below still explains the violation
-   from the native context alone: the shortest cycle in the axiom's
-   relation, each edge labelled by the strongest base relation that
-   contains it.  Both paths re-validate; [Exec.Explain.Invalid] is a
-   hard error. *)
-
-module E = Exec.Explain
-
-(* Preference order for native edge labels: external communication
-   first (the herd convention), then internal, then derived. *)
-let native_label_rels (c : Relations.ctx) =
-  [
-    ("rfe", c.x.Exec.rfe);
-    ("rfi", c.x.Exec.rfi);
-    ("coe", c.x.Exec.coe);
-    ("coi", c.x.Exec.coi);
-    ("fre", c.x.Exec.fre);
-    ("fri", c.x.Exec.fri);
-    ("ppo", c.ppo);
-    ("po-loc", c.x.Exec.po_loc);
-    ("po", c.x.Exec.po);
-    ("rmw", c.x.Exec.rmw);
-    ("prop", c.prop);
-    ("hb", c.hb);
-    ("pb", c.pb);
-    ("gp", c.gp);
-    ("rscs", c.rscs);
-    ("rcu-path", c.rcu_path);
-  ]
-
-let native_resolve c name =
-  List.assoc_opt name (native_label_rels c)
-
-let native_explain (x : Exec.t) (c : Relations.ctx) axiom =
-  let rels = native_label_rels c in
-  let label a b fallback =
-    match List.find_opt (fun (_, r) -> Rel.mem a b r) rels with
-    | Some (n, _) -> n
-    | None -> fallback
-  in
-  let fallback_label = Axioms.to_string axiom in
-  let step (a, b) =
-    let l = label a b fallback_label in
-    { E.src = a; dst = b; label = l;
-      prims = [ { E.p_src = a; p_dst = b; p_label = l } ] }
-  in
-  let rel = Axioms.relation c axiom in
-  let kind, pairs =
-    match axiom with
-    | Axioms.At ->
-        (E.Nonempty, Rel.to_list rel)
-    | Axioms.Rcu ->
-        ( E.Irreflexive,
-          match List.find_opt (fun (a, b) -> a = b) (Rel.to_list rel) with
-          | Some p -> [ p ]
-          | None -> [] )
-    | Axioms.Scpv | Axioms.Hb | Axioms.Pb -> (
-        ( E.Acyclic,
-          match Rel.find_cycle rel with
-          | Some cycle ->
-              let rec consecutive = function
-                | a :: (b :: _ as rest) -> (a, b) :: consecutive rest
-                | _ -> []
-              in
-              consecutive cycle
-          | None -> [] ))
-  in
-  match pairs with
-  | [] -> None
-  | _ ->
-      let steps = List.map step pairs in
-      let t =
-        {
-          E.check = Axioms.to_string axiom;
-          kind;
-          steps;
-          events = E.events_of_steps x.Exec.events steps;
-        }
-      in
-      E.validate ~resolve:(native_resolve c) t;
-      Some t
-
-(* [explain_execution x] is the native model's verdict forensics: one
-   validated explanation per violated axiom, [] iff [x] is consistent. *)
-let explain_execution (x : Exec.t) : E.t list =
-  let c = Relations.make_cached x in
-  match Axioms.violations c with
+let explain_execution (x : Exec.t) : Exec.Explain.t list =
+  match Axioms.violations (Relations.make_cached x) with
   | [] -> []
   | native ->
       let es = Cat.Explain.explain_execution (Lazy.force Cat.lk) x in
-      let named = List.map (fun (e : E.t) -> e.E.check) es in
-      let missing =
-        List.filter
-          (fun a -> not (List.mem (Axioms.to_string a) named))
-          native
+      let named =
+        List.sort_uniq compare
+          (List.map (fun (e : Exec.Explain.t) -> e.Exec.Explain.check) es)
       in
-      es @ List.filter_map (native_explain x c) missing
-
-(* An explainer for {!Exec.Check.run}'s [?explainer]. *)
-let explainer : Exec.t -> E.t list = explain_execution
-
-(* The axiom names, matching lk.cat's [as] labels (for --explain-diff). *)
-let check_names = List.map Axioms.to_string Axioms.all
-
-(* Explain a whole test: the verdict plus, for a forbidden test, why the
-   candidate executions matching the condition are inconsistent. *)
-let pp_test_verdict ppf (test : Litmus.Ast.t) =
-  let result = Exec.Check.run (module Model) test in
-  Fmt.pf ppf "@[<v>%s: %a (%d candidate executions, %d consistent)@,"
-    test.name Exec.Check.pp_verdict result.verdict result.n_candidates
-    result.n_consistent;
-  (match result.verdict with
-  | Exec.Check.Allow -> ()
-  | Exec.Check.Unknown r ->
-      Fmt.pf ppf "gave up: %s@," (Exec.Check.unknown_reason_to_string r)
-  | Exec.Check.Forbid ->
-      let matching =
-        List.filter Exec.satisfies_cond (Exec.of_test test)
-      in
-      (match matching with
-      | [] -> Fmt.pf ppf "no candidate execution matches the condition@,"
-      | x :: _ -> Fmt.pf ppf "%a@," pp_execution_verdict x));
-  Fmt.pf ppf "@]"
+      let expected = List.sort_uniq compare (List.map Axioms.to_string native) in
+      if named <> expected then
+        raise
+          (Exec.Explain.Invalid
+             (Printf.sprintf "lk.cat fails {%s} where the native model fails {%s}"
+                (String.concat ", " named)
+                (String.concat ", " expected)));
+      es

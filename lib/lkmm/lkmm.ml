@@ -5,7 +5,7 @@
    - {!Axioms}: the constraints of Figure 3 plus the RCU axiom;
    - {!Rcu}: the fundamental law of RCU (Section 4.1) and the Theorem-1
      equivalence check;
-   - {!Explain}: human-readable verdicts with witness cycles;
+   - {!Explain}: structured verdict forensics ({!Exec.Explain.t});
    - [name]/[consistent]: the model packaged for {!Exec.Check.run}. *)
 
 module Relations = Relations
@@ -26,17 +26,21 @@ let solve : Exec.Solve.solve_fn =
 (** The LK model as a checking oracle: all three engines (scalar,
     bit-plane batched — up to 63 static-compatible witnesses decided
     per word-parallel pass, see {!Relations.consistent_mask} — and
-    symbolic), selected per request by {!Exec.Oracle.run}. *)
+    symbolic), selected per request by {!Exec.Oracle.run}, and the
+    axiom-level forensics of {!Explain}. *)
 let oracle : Exec.Oracle.t =
   Exec.Oracle.make ~name:Model.name
     ~model:(fun _ -> (module Model : Exec.Check.MODEL))
     ~batch:(fun _ -> Relations.consistent_mask)
-    ~solve ()
+    ~solve
+    ~explainer:
+      {
+        Exec.Oracle.explain = Explain.explain_execution;
+        checks = List.map Axioms.to_string Axioms.all (* lk.cat's as names *);
+      }
+    ()
 
 (** [check ?budget test] runs a litmus test against the LK model on its
     batched engine; with a budget the result may be [Unknown] instead of
     raising/hanging. *)
 let check ?budget test = Exec.Oracle.run ?budget oracle test
-
-(** [verdict ?budget test] is the LK verdict for [test]. *)
-let verdict ?budget test = (check ?budget test).Exec.Check.verdict

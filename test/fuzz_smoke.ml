@@ -102,8 +102,7 @@ let run_litmus_mutant src =
     { Harness.Runner.id = "mutant"; source = `Text src; expected = None }
   in
   match
-    Harness.Runner.run_item ~limits ~explainer:Lkmm.Explain.explainer
-      ~oracle:Lkmm.oracle item
+    Harness.Runner.run_item ~limits ~explain:true ~oracle:Lkmm.oracle item
   with
   | e ->
       note_explained e;
@@ -138,8 +137,7 @@ let run_cat_mutant src =
           expected = None }
       in
       match
-        Harness.Runner.run_item ~limits ~explainer:(Cat.explainer model)
-          ~oracle item
+        Harness.Runner.run_item ~limits ~explain:true ~oracle item
       with
       | e ->
           note_explained e;

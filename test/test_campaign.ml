@@ -317,6 +317,34 @@ let test_kinds () =
   Alcotest.(check int) "hw severity" 1 (C.severity_of_kind "hw-unsound:Power8");
   Alcotest.(check int) "c11 severity" 2 (C.severity_of_kind "lk-vs-c11")
 
+(* Model columns resolve through the registry: an unknown or repeated
+   name is refused before anything is written, and any registered model
+   is a column under its registry key. *)
+let test_model_columns () =
+  let refused models =
+    let dir = tmpdir () in
+    (match C.run (config ~models dir) with
+    | Ok _ -> Alcotest.failf "models %s accepted" (String.concat "," models)
+    | Error _ -> ());
+    Alcotest.(check bool) "nothing written" false
+      (Sys.file_exists (C.manifest_path dir));
+    rm_rf dir
+  in
+  refused [ "bogus" ];
+  refused [ "lk"; "lkmm" ];
+  let dir = tmpdir () in
+  (match C.run (config ~models:[ "lk"; "sc" ] dir) with
+  | Error e -> Alcotest.failf "lk,sc: %s" e
+  | Ok rep ->
+      let column m =
+        List.exists
+          (fun (k, _) -> String.starts_with ~prefix:(m ^ ":") k)
+          rep.C.counts
+      in
+      Alcotest.(check bool) "lk column" true (column "lk");
+      Alcotest.(check bool) "sc column" true (column "sc"));
+  rm_rf dir
+
 (* ------------------------------------------------------------------ *)
 (* Vcache startup compaction (satellite)                               *)
 (* ------------------------------------------------------------------ *)
@@ -395,7 +423,10 @@ let () =
             test_foreign_child_untouched;
         ] );
       ( "mining",
-        [ Alcotest.test_case "disagreement kinds" `Quick test_kinds ] );
+        [
+          Alcotest.test_case "disagreement kinds" `Quick test_kinds;
+          Alcotest.test_case "model columns" `Quick test_model_columns;
+        ] );
       ( "vcache",
         [
           Alcotest.test_case "startup compaction" `Quick

@@ -321,30 +321,36 @@ let test_struct_rcu_path_needs_gps () =
 
 let test_explain_forbidden () =
   let c = weak_ctx (battery "SB+mbs") in
-  let vs = Lkmm.Explain.violations_of c in
-  Alcotest.(check bool) "exactly the pb violation" true
-    (List.length vs = 1
-    && (List.hd vs).Lkmm.Explain.axiom = Lkmm.Axioms.Pb
-    && List.length (List.hd vs).Lkmm.Explain.cycle >= 2)
+  match Lkmm.Explain.explain_execution c.x with
+  | [ e ] ->
+      Alcotest.(check string) "exactly the pb violation"
+        (Lkmm.Axioms.to_string Lkmm.Axioms.Pb)
+        e.Exec.Explain.check;
+      Alcotest.(check bool) "with a cycle" true
+        (List.length e.Exec.Explain.steps >= 2)
+  | es -> Alcotest.failf "expected one violation, got %d" (List.length es)
 
+(* Every edge of an explanation is an edge of its axiom's relation. *)
 let test_explain_cycle_is_real () =
   List.iter
     (fun name ->
       let c = weak_ctx (battery name) in
       List.iter
-        (fun (v : Lkmm.Explain.violation) ->
-          let rel = Lkmm.Axioms.relation c v.axiom in
-          let rec edges = function
-            | a :: (b :: _ as rest) -> Rel.mem a b rel && edges rest
-            | _ -> true
+        (fun (e : Exec.Explain.t) ->
+          let axiom =
+            List.find
+              (fun a -> Lkmm.Axioms.to_string a = e.Exec.Explain.check)
+              Lkmm.Axioms.all
           in
-          match v.axiom with
-          | Lkmm.Axioms.At -> ()
-          | _ ->
-              Alcotest.(check bool)
-                (name ^ ": explanation cycle has real edges")
-                true (edges v.cycle))
-        (Lkmm.Explain.violations_of c))
+          let rel = Lkmm.Axioms.relation c axiom in
+          Alcotest.(check bool)
+            (name ^ ": explanation cycle has real edges")
+            true
+            (List.for_all
+               (fun (s : Exec.Explain.step) ->
+                 Rel.mem s.Exec.Explain.src s.Exec.Explain.dst rel)
+               e.Exec.Explain.steps))
+        (Lkmm.Explain.explain_execution c.x))
     [ "SB+mbs"; "MP+wmb+rmb"; "PeterZ"; "LB+ctrl+mb"; "RWC+mbs" ]
 
 (* ------------------------------------------------------------------ *)

@@ -284,6 +284,34 @@ let test_malformed_and_unknown () =
       check_cls "unknown model" Pr.Error r;
       S.Client.close c)
 
+(* Every registered name and alias is served, with the in-process
+   verdict; an alias shares its model's cache entries (one identity per
+   model, the registry key). *)
+let test_every_registered_model () =
+  let test = src "SB+mbs" in
+  with_daemon (fun socket _pid ->
+      let c = connect_retry socket in
+      List.iter
+        (fun (m : Harness.Registry.t) ->
+          let expected =
+            Exec.Check.verdict_to_string
+              (Exec.Oracle.run (Harness.Registry.oracle m)
+                 (Litmus.parse test))
+                .Exec.Check.verdict
+          in
+          List.iteri
+            (fun i model ->
+              let r = ok_response model (S.Client.check c ~model test) in
+              check_cls (model ^ " is served") Pr.Ok_ r;
+              Alcotest.(check (option string))
+                (model ^ " verdict") (Some expected) r.Pr.rsp_verdict;
+              Alcotest.(check (option bool))
+                (model ^ " shares the key's cache entry")
+                (Some (i > 0)) r.Pr.rsp_cache_hit)
+            (m.key :: m.aliases))
+        Harness.Registry.all;
+      S.Client.close c)
+
 let test_duplicate_ids () =
   with_daemon (fun socket _pid ->
       let c = connect_retry socket in
@@ -473,6 +501,8 @@ let () =
           Alcotest.test_case "malformed, unknown op, unknown model" `Slow
             test_malformed_and_unknown;
           Alcotest.test_case "duplicate ids" `Slow test_duplicate_ids;
+          Alcotest.test_case "every registered model" `Slow
+            test_every_registered_model;
           Alcotest.test_case "oversized line" `Slow test_oversized_line;
           Alcotest.test_case "mid-request disconnect" `Slow
             test_disconnect_mid_request;

@@ -59,8 +59,6 @@ let battery tests f =
   best_of 3 (fun () ->
       List.iter (fun t -> ignore (Sys.opaque_identity (f t))) tests)
 
-let lk_cat = lazy (Lazy.force Cat.lk)
-
 (* Each layer toggles exactly one thing against its neighbour, so the
    differences attribute cleanly:
      native scalar        — the scalar loop (the BENCH_rel config)
@@ -77,7 +75,7 @@ type corpus_times = {
 }
 
 let corpus_configs tests =
-  let cat = Cat.to_oracle ~name:"LK(cat)" (Lazy.force lk_cat) in
+  let cat = Harness.Registry.(oracle lk_cat) in
   let time ?prefilter backend oracle =
     battery tests (fun t -> Exec.Oracle.run ?prefilter ~backend oracle t)
   in
@@ -97,7 +95,7 @@ let corpus_configs tests =
 let smoke_stride = 5
 
 let run_smoke tests =
-  let cat = Cat.to_oracle ~name:"LK(cat)" (Lazy.force lk_cat) in
+  let cat = Harness.Registry.(oracle lk_cat) in
   battery tests (fun t ->
       ignore (Sys.opaque_identity (Exec.Oracle.run Lkmm.oracle t));
       Exec.Oracle.run cat t)

@@ -54,25 +54,21 @@ let load_corpus ?(stride = 1) () =
              let file = List.hd (String.split_on_char ' ' line) in
              Litmus.parse (read_file (Filename.concat dir file)))
 
-let lk_cat = lazy (Lazy.force Cat.lk)
-
 (* The same battery BENCH_rel and BENCH_obs time: native LK + cached
-   cat LK per test; [explain] adds the explainers. *)
+   cat LK per test, on the scalar engine; [explain] adds the
+   explainers. *)
 let battery ~explain tests =
-  let model = Lazy.force lk_cat in
-  let cat = Cat.to_oracle ~name:"LK(cat)" model in
-  let native_ex = if explain then Some Lkmm.Explain.explainer else None in
-  let cat_ex = if explain then Some (Cat.explainer model) else None in
+  let cat = Harness.Registry.(oracle lk_cat) in
+  let run o t =
+    ignore
+      (Sys.opaque_identity
+         (Exec.Oracle.run ~explain ~backend:Exec.Check.Enum o t))
+  in
   best_of 3 (fun () ->
       List.iter
         (fun t ->
-          ignore
-            (Sys.opaque_identity
-               (Exec.Check.run ?explainer:native_ex (module Lkmm) t));
-          ignore
-            (Sys.opaque_identity
-               (Exec.Oracle.run ?explainer:cat_ex ~backend:Exec.Check.Enum cat
-                  t)))
+          run Lkmm.oracle t;
+          run cat t)
         tests)
 
 (* The committed BENCH_obs numbers for the same battery (the pre-forensics

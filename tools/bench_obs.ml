@@ -51,11 +51,9 @@ let load_corpus ?(stride = 1) () =
              let file = List.hd (String.split_on_char ' ' line) in
              Litmus.parse (read_file (Filename.concat dir file)))
 
-let lk_cat = lazy (Lazy.force Cat.lk)
-
 (* The same battery BENCH_rel times: native LK + cached cat LK per test. *)
 let battery tests =
-  let cat = Cat.to_oracle ~name:"LK(cat)" (Lazy.force lk_cat) in
+  let cat = Harness.Registry.(oracle lk_cat) in
   best_of 3 (fun () ->
       List.iter
         (fun t ->

@@ -110,16 +110,14 @@ let battery tests f =
   best_of 3 (fun () ->
       List.iter (fun t -> ignore (Sys.opaque_identity (f t))) tests)
 
-let lk_cat = lazy (Lazy.force Cat.lk)
-
 (* The cache-off cat column: the direct interpreter, no static prefix. *)
 module Cat_plain = struct
-  let name = "LK(cat)"
-  let consistent x = Cat.consistent (Lazy.force lk_cat) x
+  let name = Harness.Registry.lk_cat.name
+  let consistent x = Cat.consistent (Lazy.force Cat.lk) x
 end
 
 let corpus_configs tests =
-  let cat = Cat.to_oracle ~name:"LK(cat)" (Lazy.force lk_cat) in
+  let cat = Harness.Registry.(oracle lk_cat) in
   let native_off =
     battery tests (fun t -> Exec.Check.run ~prefilter:false (module Lkmm) t)
   and native_on = battery tests (fun t -> Exec.Check.run (module Lkmm) t)
@@ -140,7 +138,7 @@ let corpus_configs tests =
 let smoke_stride = 5
 
 let run_smoke tests =
-  let cat = Cat.to_oracle ~name:"LK(cat)" (Lazy.force lk_cat) in
+  let cat = Harness.Registry.(oracle lk_cat) in
   battery tests (fun t ->
       ignore (Sys.opaque_identity (Exec.Check.run (module Lkmm) t));
       Exec.Oracle.run ~backend:Exec.Check.Enum cat t)

@@ -17,31 +17,6 @@ let usage () =
     "usage: explain_report [-o DIR] [-model MODEL] [-j N] TEST.litmus...";
   exit 124
 
-(* lk (native) plus the cat-engine models; mirrors herd_lk's table. *)
-let model_and_explainer name :
-    Exec.Oracle.t * (Exec.t -> Exec.Explain.t list) =
-  match String.lowercase_ascii name with
-  | "lk" | "lkmm" | "linux" -> (Lkmm.oracle, Lkmm.Explain.explainer)
-  | "lk-cat" ->
-      let m = Lazy.force Cat.lk in
-      (Cat.to_oracle ~name:"LK(cat)" m, Cat.explainer m)
-  | "sc" ->
-      let m = Cat.parse Cat.Stdmodels.sc in
-      (Cat.to_oracle ~name:"SC" m, Cat.explainer m)
-  | "tso" | "x86" ->
-      let m = Cat.parse Cat.Stdmodels.tso in
-      (Cat.to_oracle ~name:"TSO" m, Cat.explainer m)
-  | "c11" ->
-      let m = Cat.parse Cat.Stdmodels.c11 in
-      (Cat.to_oracle ~name:"C11" m, Cat.explainer m)
-  | "c11-psc" | "rc11" ->
-      let m = Cat.parse Cat.Stdmodels.c11_psc in
-      (Cat.to_oracle ~name:"C11+psc" m, Cat.explainer m)
-  | other when Filename.check_suffix other ".cat" ->
-      let m = Cat.load_file name in
-      (Cat.to_oracle ~name m, Cat.explainer m)
-  | other -> failwith ("unknown model: " ^ other)
-
 let html_escape s =
   let buf = Buffer.create (String.length s + 16) in
   String.iter
@@ -86,7 +61,11 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   let files = List.rev !files in
   if files = [] then usage ();
-  let factory, explainer = model_and_explainer !model in
+  let oracle =
+    match Harness.Registry.find !model with
+    | Ok m -> Harness.Registry.oracle m
+    | Error e -> prerr_endline ("explain_report: " ^ e); exit 2
+  in
   let items =
     List.map
       (fun path ->
@@ -97,8 +76,8 @@ let () =
     if !jobs > 1 then
       Harness.Pool.run
         ~config:{ Harness.Pool.default with Harness.Pool.jobs = !jobs }
-        ~explainer ~oracle:factory items
-    else Harness.Runner.run ~explainer ~oracle:factory items
+        ~explain:true ~oracle items
+    else Harness.Runner.run ~explain:true ~oracle items
   in
   if not (Sys.file_exists !out) then Sys.mkdir !out 0o755;
   let buf = Buffer.create 65536 in
@@ -114,8 +93,9 @@ let () =
      .forbid { color: #a00; } .allow { color: #060; }\n\
      details { margin: 0.5em 0; }\n\
      </style></head><body>\n"
-    (html_escape !model);
-  pr "<h1>Verdict forensics — model %s</h1>\n" (html_escape !model);
+    (html_escape oracle.Exec.Oracle.name);
+  pr "<h1>Verdict forensics — model %s</h1>\n"
+    (html_escape oracle.Exec.Oracle.name);
   (* per-check failure totals over the whole batch *)
   let totals = Hashtbl.create 16 in
   List.iter

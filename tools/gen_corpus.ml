@@ -18,15 +18,10 @@ let () =
       output_string o (Litmus.to_string t);
       close_out o;
       let lk = (Exec.Check.run (module Lkmm) t).Exec.Check.verdict in
-      let c11 =
-        if Models.C11.applicable t then
-          Exec.Check.verdict_to_string
-            (Exec.Check.run (module Models.C11) t).Exec.Check.verdict
-        else "-"
-      in
+      let c11 = Harness.Registry.(verdict c11) t in
       Printf.fprintf oc "%s %s %s\n" file
         (Exec.Check.verdict_to_string lk)
-        c11)
+        (Option.fold ~none:"-" ~some:Exec.Check.verdict_to_string c11))
     tests;
   close_out oc;
   Printf.printf "wrote %d corpus tests\n" (List.length tests)
